@@ -23,7 +23,7 @@ from .randmat import (
     sample_matrix_beta,
     sample_wishart,
 )
-from .spd import require_spd, sym_sqrt
+from .spd import batch_inv, require_spd, sym_sqrt
 
 MAX_CHUNK = 200000
 
@@ -137,7 +137,11 @@ class MatrixTestFunction:
     fn: Callable | None = None
 
     def value(self, vs):
-        """Batched evaluation: vs is a list of k arrays (n, p, p) -> (n,)."""
+        """Batched evaluation: vs is a list of k stacks of shape (..., p, p)
+        whose leading shapes broadcast against each other, e.g. (n, p, p)
+        each, or (rows, 1, p, p) and (1, n2, p, p) from the p = 1 tensor
+        quadrature; returns the broadcast leading shape.  Callbacks must
+        index the slots as v[..., i, j], not v[:, i, j]."""
         if self.family == "callback":
             return np.asarray(self.fn(*vs), dtype=float)
 
@@ -374,7 +378,7 @@ def kober_matrix_second(params, f, U, mc=None):
         logw = 0.0
         for (prm, shift), root in zip(props, roots):
             w = sample_matrix_beta(prm, rng, m, mc.antithetic)
-            vs.append(root @ np.linalg.inv(w) @ root)
+            vs.append(root @ batch_inv(w) @ root)
             if shift:
                 logw = logw - shift * np.linalg.slogdet(w)[1]
         out = f.value(vs)
@@ -460,7 +464,7 @@ def density_mode_sample(params, f_sampler, stream, size, chain=None, antithetic=
             y = sample_matrix_beta(prm, rng, size, antithetic)
         else:
             prm = BetaMatParams(params.p, zeta, b)
-            y = np.linalg.inv(sample_matrix_beta(prm, rng, size, antithetic))
+            y = batch_inv(sample_matrix_beta(prm, rng, size, antithetic))
         root = sym_sqrt(v, check=False)
         out.append(root @ y @ root)
     return out

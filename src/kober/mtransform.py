@@ -29,10 +29,13 @@ from .matrix_ops import (
 )
 from .quadrature import QuadConfig, converge_doubling, jacobi_rule_01, legendre_rule_01
 from .randmat import BetaMatParams, sample_matrix_beta, sample_wishart
-from .spd import sym_sqrt
+from .spd import batch_inv, sym_sqrt
 
 # largest x with exp(-x) above the double underflow threshold
 EXP_HORIZON = 745.0
+# tensor quadrature drops a node whose coefficient times its tail bound is
+# below this share of its axis total
+PRUNE_REL = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +84,14 @@ class MPoint:
 
 
 def _as_mpoint(s, k):
+    """s as an MPoint, a single value repeated over k slots; MPoint.check
+    rejects a wrong length."""
     if isinstance(s, MPoint):
-        pt = s
-    else:
-        vals = np.atleast_1d(np.asarray(s, dtype=float))
-        if vals.size == 1 and k > 1:
-            vals = np.repeat(vals, k)
-        pt = MPoint(tuple(vals))
-    if len(pt) != k:
-        raise DomainError(f"need {k} transform variables, got {len(pt)}")
-    return pt
+        return s
+    vals = np.atleast_1d(np.asarray(s, dtype=float))
+    if vals.size == 1 and k > 1:
+        vals = np.repeat(vals, k)
+    return MPoint(tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -403,6 +404,19 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
     return x, c
 
 
+def _joint_values(f, vs, shape):
+    """f.value on the slot stacks vs, which must come back with exactly the
+    broadcast shape; a callback that indexes v[:, i, j] instead of
+    v[..., i, j] collapses a broadcast axis and is refused here."""
+    vals = f.value(vs)
+    if np.shape(vals) != shape:
+        raise DomainError(
+            f"f.value returned shape {np.shape(vals)} for slot stacks "
+            f"{[v.shape for v in vs]}, expected {shape}; index slots as v[..., i, j]"
+        )
+    return vals
+
+
 def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None, chunk=4_000_000):
     """M-transform of the operator output by tensor quadrature, p = 1, k <= 2.
 
@@ -410,35 +424,43 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None, chunk
     structure of f is never used, so the result is an independent numerical
     route to the closed form.  axes overrides the per-slot endpoint
     declarations, which joint callback functions cannot carry themselves.
+
+    Each axis folds x^(-lam) of its zero order into the coefficients and
+    keeps only the nodes with |c| exp(-rate x) >= PRUNE_REL times the axis
+    sum of |c| exp(-rate x), rate being the declared exponential tail.  This
+    relies on the declarations (axes included): where |f| / prod x_j^lam_j
+    is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
+    less than n_dropped * PRUNE_REL of K times the product of the axis sums.
+    At k = 2, chunks of x1 of shape (rows, 1, 1, 1) are broadcast against
+    x2 of shape (1, n2, 1, 1), so f still sees every kept joint pair; f.value
+    must broadcast its slots (index them as v[..., i, j]) and return exactly
+    the shape (rows, n2), or DomainError is raised.
     """
     if axes is None:
         axes = _scalar_axes(f)
-    lams = [a.zero_order for a in axes]
     coeffs = []
     grids = []
     for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes):
         x, c = _axis_product_nodes(kind, zeta, alpha, sj, axis, n_outer, n_inner)
+        bound = np.abs(c) * np.exp(-axis.tail[1] * x)
+        keep = bound >= PRUNE_REL * bound.sum()
+        x = x[keep]
         grids.append(x)
-        coeffs.append(c)
+        coeffs.append(c[keep] * x ** (-axis.zero_order))
 
     if params.k == 1:
-        vals = f.value([grids[0].reshape(-1, 1, 1)])
-        with np.errstate(divide="ignore"):
-            fhat = vals * grids[0] ** (-lams[0])
-        return float(coeffs[0] @ fhat)
+        x = grids[0]
+        return float(coeffs[0] @ _joint_values(f, [x.reshape(-1, 1, 1)], x.shape))
 
     x1, x2 = grids
     c1, c2 = coeffs
+    v2 = x2.reshape(1, -1, 1, 1)
     rows = max(1, chunk // x2.size)
     total = 0.0
     for i in range(0, x1.size, rows):
         a = x1[i : i + rows]
-        xx1 = np.repeat(a, x2.size).reshape(-1, 1, 1)
-        xx2 = np.tile(x2, a.size).reshape(-1, 1, 1)
-        vals = f.value([xx1, xx2]).reshape(a.size, x2.size)
-        with np.errstate(divide="ignore"):
-            vals = vals * a.reshape(-1, 1) ** (-lams[0]) * x2.reshape(1, -1) ** (-lams[1])
-        total += float((c1[i : i + rows] * (vals @ c2)).sum())
+        vals = _joint_values(f, [a.reshape(-1, 1, 1, 1), v2], (a.size, x2.size))
+        total += float(c1[i : i + rows] @ (vals @ c2))
     return total
 
 
@@ -446,6 +468,12 @@ def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
     """Numerical transform of the operator output at p = 1, with error estimate.
 
     Returns (value, delta) where delta compares against a coarser rule.
+    Both rules drop the nodes whose coefficient times the declared tail
+    bound exp(-rate x) is below PRUNE_REL of its axis total, so the slot
+    tails declared by f's family, or by axes for callbacks, must hold.
+    At k = 2 the slots reach f.value as mutually broadcastable stacks of
+    shapes (rows, 1, 1, 1) and (1, n2, 1, 1): a callback must index them as
+    v[..., i, j] and return shape (rows, n2), else DomainError is raised.
     """
     if params.p != 1:
         raise DomainError("the quadrature transform path needs p = 1")
@@ -545,7 +573,7 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
             u = 0.5 * sample_wishart(p, df0, rng, m)
             root = sym_sqrt(u, check=False)
             w = sample_matrix_beta(prm, rng, m, mc.antithetic)
-            vs.append(root @ np.linalg.inv(w) @ root)
+            vs.append(root @ batch_inv(w) @ root)
             logs = logs + (sj - df0 / 2.0) * np.linalg.slogdet(u)[1]
             logs = logs + np.trace(u, axis1=-2, axis2=-1)
         return f.value(vs) * np.exp(logs)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from .errors import DomainError, QuadratureNotConverged
 
@@ -34,15 +34,28 @@ def jacobi_rule_01(n, a, b):
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi weight exponents must exceed -1, got ({a}, {b})")
     x, w = roots_jacobi(n, a, b)
-    t = 0.5 * (x + 1.0)
-    return t, w * 0.5 ** (a + b + 1.0)
+    return _frozen(0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0))
 
 
 @lru_cache(maxsize=64)
 def legendre_rule_01(n):
     """Nodes and weights for int_0^1 f(t) dt."""
     x, w = roots_legendre(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
+
+
+@lru_cache(maxsize=16)
+def laguerre_rule(n):
+    """Nodes and weights for int_0^inf e^(-y) f(y) dy."""
+    return _frozen(*roots_laguerre(n))
+
+
+def _frozen(*arrays):
+    # cached rules are shared by every caller, so an in-place update by one
+    # would silently corrupt the rule for all later ones
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def converge_doubling(evaluate, q: QuadConfig):

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import rgamma as _rgamma
-from scipy.special import roots_laguerre
+# not called here: bench/tracing.py times Gauss-Laguerre builds under this name
+from scipy.special import roots_laguerre  # noqa: F401
 
 from .errors import (
     DomainError,
@@ -27,7 +28,13 @@ from .errors import (
     NonDifferentiable,
     TailDivergence,
 )
-from .quadrature import QuadConfig, converge_doubling, jacobi_rule_01, legendre_rule_01
+from .quadrature import (
+    QuadConfig,
+    converge_doubling,
+    jacobi_rule_01,
+    laguerre_rule,
+    legendre_rule_01,
+)
 
 MAX_VARS = 3
 
@@ -403,7 +410,7 @@ def _weyl_tail_exp(f, x, alpha, w0, rate, n):
     """int_{w0}^inf w^(alpha-1) f(x+w) dw for exponentially decaying families,
     with the decay paired against the Gauss-Laguerre weight analytically."""
     n = min(n, 128)
-    y, wl = roots_laguerre(n)
+    y, wl = laguerre_rule(n)
     w = w0 + y / rate
     if f.family == "exp_decay":
         res = f.coeff * np.ones_like(w)

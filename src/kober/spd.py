@@ -98,6 +98,14 @@ def sym_inv_sqrt(a, check=True):
     return (q / np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
+def batch_inv(a):
+    """Inverse of a stack of matrices; a singular member raises SingularMatrix."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"batched inverse failed: {exc}") from None
+
+
 def loewner_lt(a, b):
     """True iff a < b in the Loewner order, i.e. b - a is positive definite."""
     a = require_symmetric(a)

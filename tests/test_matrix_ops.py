@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kober.scalar_ops as so
-from kober.errors import DomainError, MomentDivergence, ProposalDomainError
+from kober.errors import DomainError, KoberError, MomentDivergence, ProposalDomainError
 from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
     ChainSpec,
@@ -324,3 +324,13 @@ def test_density_mode_sample_first_kind_moments():
     )
     se = d.std(ddof=1) / math.sqrt(len(d))
     assert abs(d.mean() - expect) < 3.0 * se
+
+
+def test_singular_beta_draw_is_a_kober_error():
+    # zeta within 0.3 of (p-1)/2 gives numerically singular beta draws; at
+    # this seed one reaches the batched inverse, which must not escape as a
+    # numpy LinAlgError
+    prm = MatrixOpParams("second", 3, 1, ((1.2723987583241692, 2.5964093921226046),))
+    f = det_power(3, (-0.574512041226322,))
+    with pytest.raises(KoberError):
+        kober_matrix_second(prm, f, (np.eye(3),), MCConfig(n_samples=16000, seed=2))

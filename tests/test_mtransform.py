@@ -17,6 +17,7 @@ from kober.matrix_ops import (
 )
 from kober.mtransform import (
     MPoint,
+    _axis_product_nodes,
     gamma_ratio_first,
     gamma_ratio_second,
     mellin_numeric_1d,
@@ -206,6 +207,42 @@ def test_tensor_route_k2_joint_not_separable():
     assert delta < 1e-6 * abs(val)
 
 
+@pytest.mark.parametrize("kind", ["second", "first"])
+def test_tensor_route_matches_unpruned_brute_force_sum(kind):
+    # f(v1, v2) = (v1 + v2) v1^(1/2) e^(-v1-v2) is not separable and has a
+    # nonzero zero order on slot 1; the folded, pruned and broadcast route
+    # must agree with the plain sum over every node of the same rules
+    def fn(v1, v2):
+        x1 = v1[..., 0, 0]
+        x2 = v2[..., 0, 0]
+        return (x1 + x2) * np.sqrt(x1) * np.exp(-x1 - x2)
+
+    f = matrix_callback(1, fn, k=2)
+    prm = MatrixOpParams(kind, 1, 2, ((1.6, 0.9), (2.1, 0.6)))
+    s = (1.2, 0.9)
+    axes = [power_times_exp(0.5, 1.0), exp_decay(1.0)]
+    val, _ = mtransform_quadrature(prm, f, s, n_outer=12, n_inner=16, axes=axes)
+
+    (x1, c1), (x2, c2) = (
+        _axis_product_nodes(kind, zeta, alpha, sj, axis, 12, 16)
+        for (zeta, alpha), sj, axis in zip(prm.pairs, s, axes)
+    )
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    vals = fn(X1[..., None, None], X2[..., None, None]) / np.sqrt(X1)
+    brute = c1 @ vals @ c2
+    np.testing.assert_allclose(val, brute, rtol=1e-13)
+
+
+def test_tensor_route_refuses_callback_that_drops_a_broadcast_axis():
+    # v[:, 0, 0] keeps only the first x2 node of the (1, n2, 1, 1) stack; the
+    # route must raise rather than integrate f(x1, x2[0])
+    f = matrix_callback(1, lambda v1, v2: np.exp(-v1[:, 0, 0] - v2[:, 0, 0]), k=2)
+    prm = MatrixOpParams("second", 1, 2, ((1.6, 0.9), (2.1, 0.6)))
+    axes = [exp_decay(1.0), exp_decay(1.0)]
+    with pytest.raises(DomainError, match=r"v\[\.\.\., i, j\]"):
+        mtransform_quadrature(prm, f, (1.2, 0.9), n_outer=12, n_inner=16, axes=axes)
+
+
 def test_narrow_bump_recovers_kernel_transform():
     # a unit-mass bump at 1 turns the operator output into the kernel's own
     # transform, up to the bump width
@@ -255,6 +292,14 @@ def test_verify_family_without_closed_form():
     reports = verify_transform("second", SECOND_1, f, [1.0])
     assert reports[0].status == "domain-error"
     assert "closed-form" in reports[0].note
+
+
+def test_verify_reports_wrong_length_point():
+    prm = MatrixOpParams("second", 1, 2, ((1.5, 0.7), (2.2, 1.1)))
+    reports = verify_transform("second", prm, exp_neg_trace(1, 2), [(1.0, 2.0, 3.0)])
+    assert reports[0].status == "domain-error"
+    assert reports[0].s == (1.0, 2.0, 3.0)
+    assert "transform variables" in reports[0].note
 
 
 def test_verify_mc_path_p2():

@@ -7,6 +7,7 @@ from kober.quadrature import (
     QuadConfig,
     converge_doubling,
     jacobi_rule_01,
+    laguerre_rule,
     legendre_rule_01,
 )
 
@@ -38,6 +39,26 @@ def test_legendre_rule_01_basic():
     t, w = legendre_rule_01(24)
     np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-14)
     np.testing.assert_allclose(w @ t**3, 0.25, rtol=1e-13)
+
+
+def test_laguerre_rule_basic_and_cached():
+    y, w = laguerre_rule(32)
+    # int_0^inf e^(-y) y^k dy = k!
+    np.testing.assert_allclose(w @ y**5, 120.0, rtol=1e-12)
+    assert laguerre_rule(32)[0] is y
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [lambda: jacobi_rule_01(20, 0.3, -0.4), lambda: legendre_rule_01(20), lambda: laguerre_rule(20)],
+)
+def test_cached_rules_are_read_only(rule):
+    t, w = rule()
+    with pytest.raises(ValueError):
+        w *= 2.0
+    with pytest.raises(ValueError):
+        t[0] = 0.5
+    np.testing.assert_array_equal(rule()[1], w)
 
 
 def test_converge_doubling_smooth_integrand():

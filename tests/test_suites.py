@@ -1,6 +1,31 @@
 import pytest
 
+from kober.randmat import DEFAULT_SEED
 from kober.suites import SUITES, run_suite
+
+# printed (%.12g) p = 1 quadrature results of the transform suites at the
+# default seed, as the unpruned tensor rule gives them; node pruning must
+# not move them
+P1_TRANSFORM_GOT = {
+    "mtransform-first": {
+        "first-p1-k1-s0.6": "1.00183940824",
+        "first-p1-k1-s0.9": "0.818399249874",
+        "first-p1-k1-s1.3": "0.85678812163",
+        "first-p1-k1-s1.8": "1.36260224616",
+        "first-p1-k1-s2.4": "10.1503916991",
+        "first-p1-k2-s1.3-0.8": "0.372835034066",
+        "first-p1-k2-s0.7-1.6": "0.470055934444",
+    },
+    "mtransform-second": {
+        "second-p1-k1-s0.6": "0.929571829601",
+        "second-p1-k1-s0.9": "0.604025102058",
+        "second-p1-k1-s1.3": "0.452736219492",
+        "second-p1-k1-s1.8": "0.416551671329",
+        "second-p1-k1-s2.4": "0.491930671331",
+        "second-p1-k2-s1.3-0.8": "0.15473892209",
+        "second-p1-k2-s0.7-1.6": "0.158836269992",
+    },
+}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -48,3 +73,10 @@ def test_first_kind_suite_reports_the_domain_bound():
     assert len(marked) == 1
     assert marked[0].got == "domain-error"
     assert marked[0].passed
+
+
+@pytest.mark.parametrize("name", sorted(P1_TRANSFORM_GOT))
+def test_p1_transform_values_are_pinned(name):
+    res = run_suite(name, seed=DEFAULT_SEED, p=1)
+    got = {c.id: "%.12g" % c.got for c in res.cases if c.id in P1_TRANSFORM_GOT[name]}
+    assert got == P1_TRANSFORM_GOT[name]
