@@ -12,12 +12,14 @@ from scipy.special import gammaln
 
 from .errors import DomainError, RatioOverflow
 
-MAX_DIM = 4
+# the largest matrix dimension p of the samplers, operators and SPD helpers
+# (desk scale); the matrix gamma function itself takes any p >= 1
+MAX_DIM = 3
 
 
 def _check_p(p):
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_DIM:
-        raise DomainError(f"matrix dimension p must be an integer in 1..{MAX_DIM}, got {p!r}")
+    if not isinstance(p, (int, np.integer)) or not p >= 1:
+        raise DomainError(f"matrix dimension p must be a positive integer, got {p!r}")
     return int(p)
 
 

@@ -14,16 +14,17 @@ from typing import Callable
 
 import numpy as np
 
+from . import smallmat
 from .errors import ChainDomainError, DomainError, MomentDivergence, ProposalDomainError
-from .matgamma import ln_gamma_p
+from .matgamma import MAX_DIM, ln_gamma_p
 from .randmat import (
     DEFAULT_SEED,
     BetaMatParams,
     RngStream,
-    sample_matrix_beta,
+    matrix_beta_factor,
     sample_wishart,
 )
-from .spd import batch_inv, require_spd, sym_sqrt
+from .spd import require_spd, sym_sqrt
 
 MAX_CHUNK = 200000
 
@@ -41,8 +42,8 @@ class MatrixOpParams:
     def __post_init__(self):
         if self.kind not in ("first", "second"):
             raise DomainError(f"kind must be 'first' or 'second', got {self.kind!r}")
-        if not 1 <= self.p <= 3:
-            raise DomainError(f"matrix dimension p={self.p} outside 1..3")
+        if not 1 <= self.p <= MAX_DIM:
+            raise DomainError(f"matrix dimension p={self.p} outside 1..{MAX_DIM}")
         if not 1 <= self.k <= 3:
             raise DomainError(f"number of matrix arguments k={self.k} outside 1..3")
         if len(self.pairs) != self.k:
@@ -175,7 +176,9 @@ class MatrixTestFunction:
 
     def mellin(self, s):
         """Closed-form M-transform, the integral of prod |V_j|^(s_j-(p+1)/2) f
-        over the SPD cone, or None if the family has no closed form."""
+        over the SPD cone, or None if the family has no closed form.  Raises
+        DomainError where the integral diverges (a Gamma_p argument at or
+        below (p-1)/2)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if len(s) != self.k:
             raise DomainError(f"need {self.k} transform variables, got {len(s)}")
@@ -183,17 +186,26 @@ class MatrixTestFunction:
         total = 0.0
         for j, sj in enumerate(s):
             if self.family == "exp_neg_trace":
-                total += ln_gamma_p(self.p, sj)
+                arg = sj
             elif self.family == "det_power_times_exp":
-                total += ln_gamma_p(self.p, self.gamma[j] + sj - half)
+                arg = self.gamma[j] + sj - half
             elif self.family == "wishart_density":
-                total += (
-                    self.p * (sj - half) * math.log(2.0)
-                    + ln_gamma_p(self.p, self.df / 2.0 + sj - half)
-                    - ln_gamma_p(self.p, self.df / 2.0)
-                )
+                arg = self.df / 2.0 + sj - half
             else:
                 return None
+            if not arg > (self.p - 1) / 2.0:
+                raise DomainError(
+                    f"the transform of {self.family} diverges at s = {sj}: "
+                    f"Gamma_p argument {arg} <= (p-1)/2 = {(self.p - 1) / 2.0}"
+                )
+            term = ln_gamma_p(self.p, arg)
+            if self.family == "wishart_density":
+                term = (
+                    self.p * (sj - half) * math.log(2.0)
+                    + term
+                    - ln_gamma_p(self.p, self.df / 2.0)
+                )
+            total += term
         return math.exp(total)
 
     def normalizer(self):
@@ -358,6 +370,7 @@ def kober_matrix_second(params, f, U, mc=None):
 
     Each slot reduces exactly to an expectation over W_j ~ matrix-beta:
     value = prod_j Gamma_p(z_j)/Gamma_p(z_j+a_j) * E[ f(U^(1/2) W^(-1) U^(1/2)) ].
+    W^(-1) and |W| come from the triangular factor of each beta draw.
     """
     mc = mc or MCConfig()
     if params.kind != "second":
@@ -365,7 +378,7 @@ def kober_matrix_second(params, f, U, mc=None):
     U = [require_spd(u, "operator argument") for u in U]
     if len(U) != params.k:
         raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
-    roots = [sym_sqrt(u) for u in U]
+    roots = [smallmat.entries(sym_sqrt(u)) for u in U]
     props = []
     ln_scale = 0.0
     for zeta, alpha in params.pairs:
@@ -377,10 +390,10 @@ def kober_matrix_second(params, f, U, mc=None):
         vs = []
         logw = 0.0
         for (prm, shift), root in zip(props, roots):
-            w = sample_matrix_beta(prm, rng, m, mc.antithetic)
-            vs.append(root @ batch_inv(w) @ root)
+            k = matrix_beta_factor(prm, rng, m, mc.antithetic)
+            vs.append(smallmat.stack(smallmat.congruence(root, smallmat.inv_factor(k))))
             if shift:
-                logw = logw - shift * np.linalg.slogdet(w)[1]
+                logw = logw - shift * smallmat.logdet(k)
         out = f.value(vs)
         if isinstance(logw, np.ndarray):
             out = out * np.exp(logw)
@@ -401,7 +414,7 @@ def kober_matrix_first(params, f, U, mc=None):
     U = [require_spd(u, "operator argument") for u in U]
     if len(U) != params.k:
         raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
-    roots = [sym_sqrt(u) for u in U]
+    roots = [smallmat.entries(sym_sqrt(u)) for u in U]
     shift = (params.p + 1) / 2.0
     props = [BetaMatParams(params.p, zeta + shift, alpha) for zeta, alpha in params.pairs]
     ln_scale = sum(
@@ -410,7 +423,9 @@ def kober_matrix_first(params, f, U, mc=None):
 
     def vals_fn(rng, m):
         vs = [
-            root @ sample_matrix_beta(prm, rng, m, mc.antithetic) @ root
+            smallmat.stack(
+                smallmat.congruence(root, matrix_beta_factor(prm, rng, m, mc.antithetic))
+            )
             for prm, root in zip(props, roots)
         ]
         return f.value(vs)
@@ -442,13 +457,10 @@ def density_constant(params, chain=None):
     return math.exp(total)
 
 
-def density_mode_sample(params, f_sampler, stream, size, chain=None, antithetic=False):
-    """Draws (U_1..U_k) from the density proportional to the operator output.
-
-    f_sampler(stream, size) -> list of V_j draws from the normalized f.
-    Second kind: U_j = V_j^(1/2) Y_j V_j^(1/2), Y_j ~ beta(z_j+(p+1)/2, b_j);
-    first kind:  U_j = V_j^(1/2) Y_j^(-1) V_j^(1/2), Y_j ~ beta(z_j, a_j).
-    """
+def _density_mode_factors(params, f_sampler, stream, size, chain, antithetic):
+    """The draws of density_mode_sample as factors: per slot (C, B, log|U|)
+    with U = C B B' C', C the Cholesky factor of V and B the triangular
+    factor of Y (second kind) or of Y^(-1) (first kind)."""
     second_shapes = [alpha for _, alpha in params.pairs]
     if chain is not None:
         second_shapes = param_chain(chain)
@@ -459,12 +471,27 @@ def density_mode_sample(params, f_sampler, stream, size, chain=None, antithetic=
         raise DomainError(f"f_sampler returned {len(vs)} blocks, need {params.k}")
     out = []
     for (zeta, _), b, v in zip(params.pairs, second_shapes, vs):
+        c = smallmat.cholesky(smallmat.entries(v))
         if params.kind == "second":
-            prm = BetaMatParams(params.p, zeta + half, b)
-            y = sample_matrix_beta(prm, rng, size, antithetic)
+            k = matrix_beta_factor(BetaMatParams(params.p, zeta + half, b), rng, size, antithetic)
+            out.append((c, k, smallmat.logdet(c) + smallmat.logdet(k)))
         else:
-            prm = BetaMatParams(params.p, zeta, b)
-            y = batch_inv(sample_matrix_beta(prm, rng, size, antithetic))
-        root = sym_sqrt(v, check=False)
-        out.append(root @ y @ root)
+            k = matrix_beta_factor(BetaMatParams(params.p, zeta, b), rng, size, antithetic)
+            out.append((c, smallmat.inv_factor(k), smallmat.logdet(c) - smallmat.logdet(k)))
     return out
+
+
+def density_mode_sample(params, f_sampler, stream, size, chain=None, antithetic=False):
+    """Draws (U_1..U_k) from the density proportional to the operator output.
+
+    f_sampler(stream, size) -> list of V_j draws from the normalized f.
+    Second kind: U_j = C_j Y_j C_j', Y_j ~ beta(z_j+(p+1)/2, b_j);
+    first kind:  U_j = C_j Y_j^(-1) C_j', Y_j ~ beta(z_j, a_j);
+    C_j is the Cholesky factor of V_j.  C_j = V_j^(1/2) H_j with H_j
+    orthogonal, and the beta law is invariant under Y -> H'YH, so U_j has the
+    law of V_j^(1/2) Y_j V_j^(1/2).
+    """
+    return [
+        smallmat.stack(smallmat.congruence(c, b))
+        for c, b, _ in _density_mode_factors(params, f_sampler, stream, size, chain, antithetic)
+    ]

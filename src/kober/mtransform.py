@@ -16,20 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scalar_ops
+from . import scalar_ops, smallmat
 from .errors import DomainError, ProposalDomainError, TailDivergence
 from .matgamma import ln_gamma_p
 from .matrix_ops import (
     MatrixOpParams,
     MatrixTestFunction,
     MCConfig,
+    _density_mode_factors,
     _mc_expectation,
     density_constant,
-    density_mode_sample,
 )
 from .quadrature import QuadConfig, converge_doubling, jacobi_rule_01, legendre_rule_01
-from .randmat import BetaMatParams, sample_matrix_beta, sample_wishart
-from .spd import batch_inv, sym_sqrt
+from .randmat import BetaMatParams, matrix_beta_factor, wishart_factor
 
 # largest x with exp(-x) above the double underflow threshold
 EXP_HORIZON = 745.0
@@ -497,11 +496,14 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
 
     The operator output equals density_constant * (normalizer of f) * the
     density of the density-mode draws, so the transform is that constant
-    times the joint moment E prod_j |U_j|^(s_j-(p+1)/2).
+    times the joint moment E prod_j |U_j|^(s_j-(p+1)/2), with log|U_j| taken
+    from the factors of the draw.  DomainError where f's own transform
+    diverges at s.
     """
     mc = mc or MCConfig()
     pt = _as_mpoint(s, params.k)
     pt.check(params)
+    f.mellin(pt.s)  # raises DomainError where f's own transform diverges
     sampler = f.sampler()
     norm = f.normalizer()
     if sampler is None or norm is None:
@@ -512,12 +514,10 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
     shifts = [sj - (params.p + 1) / 2.0 for sj in pt]
 
     def vals_fn(rng, m):
-        us = density_mode_sample(
-            params, sampler, rng, m, chain=chain, antithetic=mc.antithetic
-        )
+        draws = _density_mode_factors(params, sampler, rng, m, chain, mc.antithetic)
         logs = 0.0
-        for sh, u in zip(shifts, us):
-            logs = logs + sh * np.linalg.slogdet(u)[1]
+        for sh, (_, _, logdet_u) in zip(shifts, draws):
+            logs = logs + sh * logdet_u
         return np.exp(logs)
 
     return _mc_expectation(vals_fn, mc, scale=scale)
@@ -533,8 +533,13 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
 
     Second kind only.  U_j ~ 0.5 * Wishart(2 s_j), which cancels the |U|
     factor of the weight; for inputs with exponential decay the remaining
-    weight exp(tr U) f(R W^(-1) R) stays bounded because tr(R W^(-1) R)
-    >= tr U.  proposal_df overrides the Wishart degrees of freedom.
+    weight exp(tr U) f(R W^(-1) R') stays bounded because tr(R W^(-1) R')
+    >= tr U.  R is the proposal's own Bartlett factor over sqrt(2), so
+    U = R R' and log|U| = 2 sum_i log R_ii; R = U^(1/2) H with H orthogonal,
+    and the law of W^(-1) is invariant under H, so R W^(-1) R' has the law of
+    U^(1/2) W^(-1) U^(1/2).  proposal_df overrides the Wishart degrees of
+    freedom.  DomainError where f's own transform diverges at s (only
+    families with a closed-form transform are checked).
 
     The first kind is refused.  Its output decays like |U|^(-zeta-(p+1)/2),
     so the conditional variance of a single W draw falls off at only half
@@ -551,6 +556,7 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
     mc = mc or MCConfig()
     pt = _as_mpoint(s, params.k)
     pt.check(params)
+    f.mellin(pt.s)  # raises DomainError where f's own transform diverges
     p = params.p
 
     if proposal_df is None:
@@ -570,12 +576,12 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
         logs = 0.0
         vs = []
         for prm, df0, sj in zip(betas, proposal_df, pt):
-            u = 0.5 * sample_wishart(p, df0, rng, m)
-            root = sym_sqrt(u, check=False)
-            w = sample_matrix_beta(prm, rng, m, mc.antithetic)
-            vs.append(root @ batch_inv(w) @ root)
-            logs = logs + (sj - df0 / 2.0) * np.linalg.slogdet(u)[1]
-            logs = logs + np.trace(u, axis1=-2, axis2=-1)
+            t = wishart_factor(p, df0, rng, m)  # U = T T' / 2, R = T / sqrt(2)
+            k = matrix_beta_factor(prm, rng, m, mc.antithetic)
+            vs.append(0.5 * smallmat.stack(smallmat.congruence(t, smallmat.inv_factor(k))))
+            logs = logs + (sj - df0 / 2.0) * (smallmat.logdet(t) - p * math.log(2.0))
+            # tr U is half the sum of the squared entries of T
+            logs = logs + 0.5 * sum(x * x for row in t for x in row if x is not None)
         return f.value(vs) * np.exp(logs)
 
     return _mc_expectation(vals_fn, mc, scale=math.exp(ln_scale))

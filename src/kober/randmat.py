@@ -2,14 +2,18 @@
 
 All samplers are pure functions of an RngStream value: identical (seed,
 stream_id) pairs reproduce identical draws.  Batches are stacked along the
-leading axis with shape (n, p, p).
+leading axis with shape (n, p, p); wishart_factor and matrix_beta_factor
+return the lower-triangular factors of the draws as smallmat stacks, from
+which inverses and log-determinants follow without a decomposition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .errors import ChainDomainError, DomainError
+from .matgamma import MAX_DIM
 from .spd import dirichlet_chain_inverse, sym_sqrt
 
 DEFAULT_SEED = 0xE4DE17
@@ -26,10 +30,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
 
-    def substreams(self, n):
-        # stream ids are spread so nested use does not collide with plain ids
-        return [RngStream(self.seed, self.stream_id * 100003 + i + 1) for i in range(n)]
-
 
 @dataclass(frozen=True)
 class BetaMatParams:
@@ -40,8 +40,8 @@ class BetaMatParams:
     b: float
 
     def __post_init__(self):
-        if not 1 <= self.p <= 3:
-            raise DomainError(f"matrix dimension p={self.p} outside 1..3")
+        if not 1 <= self.p <= MAX_DIM:
+            raise DomainError(f"matrix dimension p={self.p} outside 1..{MAX_DIM}")
         bound = (self.p - 1) / 2.0
         if not (self.a > bound and self.b > bound):
             raise DomainError(
@@ -77,52 +77,68 @@ def _resolve_rng(stream):
     raise DomainError(f"expected RngStream or Generator, got {type(stream)!r}")
 
 
-def sample_wishart(p, df, stream, size=1, antithetic=False):
-    """Draws from the standard Wishart W_p(df, I), df > p-1 real.
+def wishart_factor(p, df, stream, size=1, antithetic=False):
+    """Bartlett factor T of W_p(df, I) draws S = T T', as a smallmat stack.
 
-    Lower-triangular construction: diagonal entries are square roots of
-    chi-square draws with df - i + 1 degrees of freedom (i = 1..p),
-    subdiagonal entries standard normal; returns T T'.
+    T is lower triangular: T_ii is the square root of a chi-square draw with
+    df - i + 1 degrees of freedom (i = 1..p) and the subdiagonal entries are
+    standard normal.  With antithetic, the second half of the batch repeats
+    the first with the subdiagonal negated.
     """
-    if not 1 <= p <= 3:
-        raise DomainError(f"matrix dimension p={p} outside 1..3")
+    if not 1 <= p <= MAX_DIM:
+        raise DomainError(f"matrix dimension p={p} outside 1..{MAX_DIM}")
     if not df > p - 1:
         raise DomainError(f"Wishart needs df > p - 1, got df={df} at p={p}")
+    if antithetic and size % 2:
+        raise DomainError("antithetic sampling needs an even batch size")
     rng = _resolve_rng(stream)
-    if antithetic:
-        if size % 2:
-            raise DomainError("antithetic sampling needs an even batch size")
-        half = size // 2
-        t = np.zeros((half, p, p))
-        for i in range(p):
-            t[:, i, i] = np.sqrt(rng.chisquare(df - i, size=half))
-        lower = np.tril_indices(p, k=-1)
-        normals = rng.standard_normal((half, len(lower[0]))) if p > 1 else None
-        out = np.empty((size, p, p))
-        for sign, sl in ((1.0, slice(0, half)), (-1.0, slice(half, size))):
-            tt = t.copy()
-            if normals is not None:
-                tt[:, lower[0], lower[1]] = sign * normals
-            out[sl] = tt @ np.swapaxes(tt, -1, -2)
-        return out
-    t = np.zeros((size, p, p))
+    half = size // 2 if antithetic else size
+    t = [[None] * p for _ in range(p)]
     for i in range(p):
-        t[:, i, i] = np.sqrt(rng.chisquare(df - i, size=size))
-    if p > 1:
-        lower = np.tril_indices(p, k=-1)
-        t[:, lower[0], lower[1]] = rng.standard_normal((size, len(lower[0])))
-    return t @ np.swapaxes(t, -1, -2)
+        t[i][i] = np.sqrt(rng.chisquare(df - i, size=half))
+    lower = [(i, j) for i in range(p) for j in range(i)]  # np.tril_indices(p, -1) order
+    normals = rng.standard_normal((half, len(lower))).T.copy()
+    for (i, j), z in zip(lower, normals):
+        t[i][j] = z
+    if antithetic:
+        for i in range(p):
+            for j in range(i + 1):
+                t[i][j] = np.concatenate((t[i][j], -t[i][j] if i > j else t[i][j]))
+    return t
+
+
+def sample_wishart(p, df, stream, size=1, antithetic=False):
+    """Draws from the standard Wishart W_p(df, I), df > p-1 real, as an
+    (size, p, p) stack: T T' of the Bartlett factor T of wishart_factor."""
+    return smallmat.stack(smallmat.gram(wishart_factor(p, df, stream, size, antithetic)))
+
+
+def matrix_beta_factor(params, stream, size=1, antithetic=False):
+    """Lower-triangular factor K of type-1 matrix-beta draws X = K K'.
+
+    With S1 = T1 T1' ~ W_p(2a, I) and S2 ~ W_p(2b, I) independent and
+    S1 + S2 = L L' (Cholesky), X = L^(-1) S1 L^(-T) ~ beta(a, b), so
+    K = L^(-1) T1 (Muirhead 1982, Aspects of Multivariate Statistical Theory,
+    Thm 3.3.1).  The symmetric-root construction (S1+S2)^(-1/2) S1
+    (S1+S2)^(-1/2) has the same law; the two differ draw by draw by an
+    orthogonal conjugation X -> H'XH, so |X|, tr X and tr X^(-1) agree per
+    draw.  X^(-1) and |X| follow from K (smallmat.inv_factor, smallmat.logdet)
+    without a decomposition of X.
+    """
+    rng = _resolve_rng(stream)
+    t1 = wishart_factor(params.p, 2.0 * params.a, rng, size, antithetic)
+    t2 = wishart_factor(params.p, 2.0 * params.b, rng, size, antithetic)
+    # S1 + S2 is the Gram product of the p x 2p block row [T1 T2]
+    s = smallmat.gram([r1 + r2 for r1, r2 in zip(t1, t2)])
+    return smallmat.matmul(smallmat.tri_inv(smallmat.cholesky(s)), t1)
 
 
 def sample_matrix_beta(params, stream, size=1, antithetic=False):
-    """Type-1 matrix beta: X = (S1+S2)^(-1/2) S1 (S1+S2)^(-1/2) with
-    S1 ~ W_p(2a, I) and S2 ~ W_p(2b, I) independent."""
-    rng = _resolve_rng(stream)
-    s1 = sample_wishart(params.p, 2.0 * params.a, rng, size, antithetic)
-    s2 = sample_wishart(params.p, 2.0 * params.b, rng, size, antithetic)
-    w, q = np.linalg.eigh(s1 + s2)
-    inv_root = (q / np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
-    return inv_root @ s1 @ inv_root
+    """Type-1 matrix beta draws, an (size, p, p) stack of X = K K' with K
+    from matrix_beta_factor.  The law is that of (S1+S2)^(-1/2) S1
+    (S1+S2)^(-1/2) with S1 ~ W_p(2a, I) and S2 ~ W_p(2b, I) independent;
+    single draws differ from that construction by an orthogonal conjugation."""
+    return smallmat.stack(smallmat.gram(matrix_beta_factor(params, stream, size, antithetic)))
 
 
 def sample_dirichlet_chain(pairs, stream, size=1, antithetic=False):

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange, SingularMatrix
-
-MAX_DIM = 4
+from .matgamma import MAX_DIM
 
 
 @dataclass(frozen=True)
@@ -76,34 +75,42 @@ def require_spd(a, what="matrix"):
     return a
 
 
-def sym_sqrt(a, check=True):
-    """Symmetric positive definite square root via eigendecomposition."""
-    a = require_symmetric(a) if check else np.asarray(a, dtype=float)
+def _spd_power(a, power):
+    """A^power, power = +-1/2, for a stack of SPD matrices: closed form at
+    p = 2, eigendecomposition otherwise (and for 2 x 2 members the closed
+    form cannot certify as positive definite)."""
+    if a.shape[-1] == 2:
+        tr = (a[..., 0, 0] + a[..., 1, 1])[..., None, None]
+        det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])[..., None, None]
+        if np.all(tr > 0.0) and np.all(det > 0.0):
+            # A^(1/2) = (A + s I) / t with s = |A|^(1/2), t = (tr A + 2 s)^(1/2);
+            # its inverse, the adjugate over the determinant s, is
+            # ((tr A + s) I - A) / (s t)
+            s = np.sqrt(det)
+            t = np.sqrt(tr + 2.0 * s)
+            if power > 0:
+                return (a + s * np.eye(2)) / t
+            return ((tr + s) * np.eye(2) - a) / (s * t)
     w, q = np.linalg.eigh(a)
     if w.min() <= 0.0:
         raise NotPositiveDefinite(
-            f"square root requires a positive definite matrix (min eigenvalue {w.min():.3e})"
+            f"matrix power {power} requires a positive definite matrix "
+            f"(min eigenvalue {w.min():.3e})"
         )
-    return (q * np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (q * (w**power)[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def sym_sqrt(a, check=True):
+    """Symmetric positive definite square root: closed form at p = 2,
+    eigendecomposition at p = 1 and 3."""
+    a = require_symmetric(a) if check else np.asarray(a, dtype=float)
+    return _spd_power(a, 0.5)
 
 
 def sym_inv_sqrt(a, check=True):
-    """Symmetric inverse square root, eigendecomposition based."""
+    """Symmetric inverse square root, the inverse of sym_sqrt's root."""
     a = require_symmetric(a) if check else np.asarray(a, dtype=float)
-    w, q = np.linalg.eigh(a)
-    if w.min() <= 0.0:
-        raise NotPositiveDefinite(
-            f"inverse square root requires positive definiteness (min eigenvalue {w.min():.3e})"
-        )
-    return (q / np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
-
-
-def batch_inv(a):
-    """Inverse of a stack of matrices; a singular member raises SingularMatrix."""
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"batched inverse failed: {exc}") from None
+    return _spd_power(a, -0.5)
 
 
 def loewner_lt(a, b):
@@ -113,13 +120,6 @@ def loewner_lt(a, b):
     if a.shape != b.shape:
         raise DimensionMismatch("operands of loewner_lt must share a shape")
     return spd_check(b - a).is_pd
-
-
-def strictly_inside_unit_interval(x, margin=1e-10):
-    """Check O < x < I with an eigenvalue margin on both sides."""
-    x = require_symmetric(x)
-    w = np.linalg.eigvalsh(x)
-    return bool(w.min() > margin and (1.0 - w.max()) > margin)
 
 
 def jac_congruence(a):

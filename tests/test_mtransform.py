@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kober.errors import DomainError, ProposalDomainError, TailDivergence
+from kober.errors import DomainError, MomentDivergence, ProposalDomainError, TailDivergence
+from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
     ChainSpec,
     MatrixOpParams,
@@ -334,6 +335,33 @@ def test_operator_route_agrees_with_density_route():
     a = mtransform_mc(prm, f, s, mc)
     b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=100000, seed=31, n_streams=8))
     assert abs(a.value - b.value) < 3.0 * math.hypot(a.se, b.se)
+
+
+@pytest.mark.parametrize("s,seed", [(s, seed) for s in (1.1, 1.3) for seed in range(1, 7)])
+def test_operator_route_p3_low_proposal_df(s, seed):
+    # at s <= 1.25 the default proposal df is p - 0.5 = 2.5, whose Wishart
+    # draws can be nearly singular; the factor root never fails on them
+    zeta, alpha = 2.3, 1.4
+    prm = MatrixOpParams("second", 3, 1, ((zeta, alpha),))
+    want = math.exp(
+        ln_gamma_p(3, zeta + s) + ln_gamma_p(3, s) - ln_gamma_p(3, zeta + s + alpha)
+    )
+    try:
+        est = mtransform_mc_operator(prm, exp_neg_trace(3, 1), s, MCConfig(n_samples=50000, seed=seed))
+    except MomentDivergence:
+        return
+    assert abs(est.value - want) < 4.0 * est.se, (est, want)
+
+
+def test_mc_routes_refuse_a_pole_of_the_input_transform():
+    # Gamma_3(s) of exp(-tr V) has its pole at s = 1, inside zeta + s > 1
+    prm = MatrixOpParams("second", 3, 1, ((2.3, 1.4),))
+    f = exp_neg_trace(3, 1)
+    for route in (mtransform_mc, mtransform_mc_operator):
+        with pytest.raises(DomainError, match="diverges"):
+            route(prm, f, 1.0, MCConfig(seed=2))
+    rep = verify_transform("second", prm, f, [1.0])[0]
+    assert rep.status == "domain-error" and "diverges" in rep.note
 
 
 def test_operator_route_refuses_first_kind():

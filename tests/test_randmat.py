@@ -49,6 +49,26 @@ def test_wishart_mean_is_df_times_identity():
     assert np.all(np.abs(x.mean(axis=0) - 5.0 * np.eye(2)) < 3.0 * se)
 
 
+def mean_entries_within(x, expect, k=4.0):
+    # every entry of the sample mean, diagonal and off-diagonal
+    se = x.std(axis=0, ddof=1) / np.sqrt(x.shape[0])
+    assert np.all(np.abs(x.mean(axis=0) - expect) < k * se), (x.mean(axis=0), expect, se)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_wishart_mean_entries(p):
+    mean_entries_within(sample_wishart(p, 4.3, RngStream(21), size=100000), 4.3 * np.eye(p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matrix_beta_mean_entries(p):
+    # E[X] = a/(a+b) I; the off-diagonal means see the orientation of each
+    # draw, which the determinant moments do not
+    prm = BetaMatParams(p, 2.0, 1.5)
+    x = sample_matrix_beta(prm, RngStream(22), size=100000)
+    mean_entries_within(x, prm.a / (prm.a + prm.b) * np.eye(p))
+
+
 def test_wishart_determinant_moment():
     x = sample_wishart(2, 5.0, RngStream(3), size=100000)
     mean_within(np.linalg.det(x), wishart_det_moment(2, 5.0, 1.0))
