@@ -27,7 +27,13 @@ from .matrix_ops import (
     _mc_expectation,
     density_constant,
 )
-from .quadrature import QuadConfig, converge_doubling, jacobi_rule_01, legendre_rule_01
+from .quadrature import (
+    CHUNK_ENTRIES,
+    QuadConfig,
+    converge_doubling,
+    jacobi_rule_01,
+    legendre_rule_01,
+)
 from .randmat import BetaMatParams, matrix_beta_factor, wishart_factor
 
 # largest x with exp(-x) above the double underflow threshold
@@ -416,7 +422,7 @@ def _joint_values(f, vs, shape):
     return vals
 
 
-def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None, chunk=4_000_000):
+def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     """M-transform of the operator output by tensor quadrature, p = 1, k <= 2.
 
     The slot function is evaluated jointly on the product grid; separable
@@ -430,8 +436,9 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None, chunk
     relies on the declarations (axes included): where |f| / prod x_j^lam_j
     is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
     less than n_dropped * PRUNE_REL of K times the product of the axis sums.
-    At k = 2, chunks of x1 of shape (rows, 1, 1, 1) are broadcast against
-    x2 of shape (1, n2, 1, 1), so f still sees every kept joint pair; f.value
+    At k = 2, chunks of x1 of shape (rows, 1, 1, 1), rows * n2 at most
+    CHUNK_ENTRIES (2^18) joint pairs, are broadcast against x2 of shape
+    (1, n2, 1, 1), so f still sees every kept joint pair; f.value
     must broadcast its slots (index them as v[..., i, j]) and return exactly
     the shape (rows, n2), or DomainError is raised.
     """
@@ -454,7 +461,7 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None, chunk
     x1, x2 = grids
     c1, c2 = coeffs
     v2 = x2.reshape(1, -1, 1, 1)
-    rows = max(1, chunk // x2.size)
+    rows = max(1, CHUNK_ENTRIES // x2.size)
     total = 0.0
     for i in range(0, x1.size, rows):
         a = x1[i : i + rows]

@@ -14,6 +14,12 @@ from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 from .errors import DomainError, QuadratureNotConverged
 
 
+# joint-grid evaluators (multivariable operators, the p = 1 tensor transform)
+# build and contract their grids in slabs of at most this many entries, so
+# each slab's temporaries stay cache-sized
+CHUNK_ENTRIES = 1 << 18
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     base_nodes: int = 64

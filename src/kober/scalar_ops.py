@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import digamma as _digamma
 from scipy.special import gamma as _gamma
 from scipy.special import rgamma as _rgamma
 # not called here: bench/tracing.py times Gauss-Laguerre builds under this name
@@ -29,6 +30,7 @@ from .errors import (
     TailDivergence,
 )
 from .quadrature import (
+    CHUNK_ENTRIES,
     QuadConfig,
     converge_doubling,
     jacobi_rule_01,
@@ -159,12 +161,12 @@ class ScalarOpSpec:
 # Gauss hypergeometric function on [0, 1)
 
 
-def _series_2f1(a, b, c, z, max_terms=100000):
+def _series_2f1(a, b, c, z):
     z = np.asarray(z, dtype=float)
     term = np.ones_like(z)
     total = np.ones_like(z)
     quiet = 0
-    for n in range(max_terms):
+    for n in range(100000):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         total = total + term
         if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(total), 1e-300)):
@@ -174,7 +176,7 @@ def _series_2f1(a, b, c, z, max_terms=100000):
         else:
             quiet = 0
     raise HypergeometricNonConvergent(
-        f"2F1 series did not converge within {max_terms} terms"
+        "2F1 series did not converge within 100000 terms"
     )
 
 
@@ -182,12 +184,69 @@ def _is_nonpositive_int(x):
     return abs(x - round(x)) < 1e-12 and round(x) <= 0
 
 
+def _whole_gap_2f1(a, b, c, z):
+    """2F1(a, b; c; z) for 1/2 < z < 1 when c - a - b is within 1e-10 of a
+    whole number m, by DLMF 15.8.10 (Abramowitz & Stegun 15.3.10-15.3.12):
+
+      F / Gamma(c) = sum_{k<m} (a)_k (b)_k (m-k-1)! / (k! Gamma(a+m) Gamma(b+m)) (-w)^k
+                     - (-w)^m / (Gamma(a) Gamma(b)) sum_k (a+m)_k (b+m)_k / (k! (k+m)!) w^k
+                       [ln w - psi(k+1) - psi(k+m+1) + psi(a+k+m) + psi(b+k+m)]
+
+    with w = 1 - z < 1/2, so the series converges like 2^-k.  A gap m < 0
+    goes through Euler's transformation F(a, b; c; z) = w^(c-a-b)
+    F(c-a, c-b; c; z) first.  The formula is evaluated at b shifted by
+    delta = c - a - b - m, so that c - a - b is exactly m.
+    """
+    w = 1.0 - z
+    m = round(c - a - b)
+    pref = 1.0
+    if m < 0:
+        pref = w ** (c - a - b)
+        a, m = c - a, -m
+    b = c - a - m
+    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
+        return pref * _series_2f1(a, b, c, z)
+    finite = np.zeros_like(w)
+    term = np.ones_like(w)
+    for k in range(m):
+        finite = finite + term * math.factorial(m - k - 1)
+        term = term * ((a + k) * (b + k) / (k + 1.0)) * -w
+    finite = finite * (_rgamma(a + m) * _rgamma(b + m))
+
+    log_w = np.log(w)
+    psi = _digamma(a + m) + _digamma(b + m) - _digamma(1.0) - _digamma(m + 1.0)
+    term = np.full_like(w, 1.0 / math.factorial(m))
+    total = term * (log_w + psi)
+    quiet = 0
+    for k in range(1000):
+        term = term * ((a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))) * w
+        # psi(x + 1) = psi(x) + 1/x for each of the four digamma terms
+        psi += 1.0 / (a + m + k) + 1.0 / (b + m + k) - 1.0 / (k + 1.0) - 1.0 / (k + m + 1.0)
+        inc = term * (log_w + psi)
+        total = total + inc
+        if np.all(np.abs(inc) <= 1e-16 * np.maximum(np.abs(total), 1e-300)):
+            quiet += 1
+            if quiet >= 2:
+                series = (-w) ** m * (_rgamma(a) * _rgamma(b)) * total
+                return pref * _gamma(c) * (finite - series)
+        else:
+            quiet = 0
+    raise HypergeometricNonConvergent("2F1 log-case series did not converge within 1000 terms")
+
+
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z), real parameters, 0 <= z < 1.
 
     Power series for z <= 1/2; for larger z the series is resummed through
-    the linear transformation in terms of 1 - z.  Terminating cases (a or b
-    a nonpositive integer) are summed exactly for any z.
+    the linear transformation in terms of 1 - z.  When c - a - b is within
+    delta < 1e-10 of a whole number that transformation degenerates, and the
+    logarithmic connection formula DLMF 15.8.10 is used instead, after
+    Euler's transformation F(a, b; c; z) = (1-z)^(c-a-b) F(c-a, c-b; c; z)
+    for a gap below zero.  It returns F at b moved by delta onto the whole
+    gap, so its relative error is delta |dF/db| / |F|: median 0.8 delta and
+    within 3 delta for about four in five Saigo-type parameter sets, more
+    near zeros of F (450 delta seen at |F| = 0.009).  Terminating cases (a or
+    b a nonpositive integer) are summed exactly for any z.
     """
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -212,8 +271,7 @@ def gauss_2f1(a, b, c, z):
                 f"2F1 diverges as z -> 1 when c - a - b = {s:.6g} <= 0"
             )
         if abs(s - round(s)) < 1e-10:
-            # integer exponent difference: fall back to the budgeted series
-            out[near] = _series_2f1(a, b, c, zn, max_terms=2000000)
+            out[near] = _whole_gap_2f1(a, b, c, zn)
         else:
             w = 1.0 - zn
             c1 = _gamma(c) * _gamma(s) * _rgamma(c - a) * _rgamma(c - b)
@@ -656,6 +714,9 @@ def multivar_op(kind, f, u, *, zeta, alpha, q=None, full_output=False):
 
     kind is "first" or "second".  f is either a sequence of TestFunction1D
     (separable integrand) or a joint callable of k broadcastable arrays.
+    A joint callable is evaluated in slabs along the first variable of at
+    most CHUNK_ENTRIES (2^18) grid entries each, every slab contracted with
+    the weights before the next one is built.
     """
     q = q or QuadConfig()
     u, zeta, alpha, k = _check_multivar(u, zeta, alpha)
@@ -698,13 +759,20 @@ def multivar_op(kind, f, u, *, zeta, alpha, q=None, full_output=False):
                 t, w = jacobi_rule_01(n, alpha[j] - 1.0, b)
                 v = u[j] / t
             axes.append((v, w / _gamma(alpha[j])))
-        grids = np.meshgrid(*[v for v, _ in axes], indexing="ij", sparse=True)
-        vals = np.asarray(f(*grids), dtype=float)
-        if vals.shape != (len(axes[0][0]),) * k:
-            vals = np.broadcast_to(vals, (len(axes[0][0]),) * k)
-        for j in range(k - 1, -1, -1):
-            vals = np.tensordot(vals, axes[j][1], axes=([j], [0]))
-        return float(vals)
+        (v0, w0), rest = axes[0], axes[1:]
+        others = np.meshgrid(v0[:1], *[v for v, _ in rest], indexing="ij", sparse=True)[1:]
+        rows = max(1, CHUNK_ENTRIES // n ** (k - 1))
+        total = 0.0
+        for i in range(0, n, rows):
+            slab = v0[i : i + rows].reshape((-1,) + (1,) * (k - 1))
+            shape = (len(slab),) + (n,) * (k - 1)
+            vals = np.asarray(f(slab, *others), dtype=float)
+            if vals.shape != shape:
+                vals = np.broadcast_to(vals, shape)
+            for _, w in reversed(rest):
+                vals = vals @ w
+            total += float(w0[i : i + rows] @ vals)
+        return total
 
     val, info = converge_doubling(estimate, q)
     return (val, info) if full_output else val

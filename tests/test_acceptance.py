@@ -157,6 +157,14 @@ def test_criterion_02_saigo_collapse_and_oracle():
     )
 
 
+def test_saigo_whole_gap_against_oracle():
+    # gamma - beta = 1 puts the kernel's 2F1 on its logarithmic case
+    zeta, alpha, beta, gamma_par, lam, u = 1.2, 0.8, -0.5, 0.5, 1.5, 0.9
+    got = saigo_first(power(lam), u, zeta=zeta, alpha=alpha, beta=beta, gamma=gamma_par)
+    want = _saigo_oracle(zeta, alpha, beta, gamma_par, lam, u)
+    assert _rel(got, want) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # 3. fractional derivative
 

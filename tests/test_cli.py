@@ -41,6 +41,23 @@ def test_eval_weyl_exp_eigenfunction_csv(capsys):
     assert math.isclose(value, math.exp(-1.0), rel_tol=1e-10)
 
 
+def test_eval_saigo_whole_gap_closed_form(capsys):
+    # gamma - beta = 1 is the logarithmic 2F1 case; on f = v^lam the operator
+    # is u^lam G(d) G(d - beta + gamma) / (G(d - beta) G(d + alpha + gamma)),
+    # d = zeta + lam + 1
+    code, out, _ = run_cli(
+        capsys, "eval", "--op", "saigo", "--zeta", "1.2", "--alpha", "0.8",
+        "--beta", "-0.5", "--gamma", "0.5", "--f", "power:1.5", "--u", "0.9",
+    )
+    assert code == 0
+    d = 1.2 + 1.5 + 1.0
+    expect = 0.9**1.5 * math.gamma(d) * math.gamma(d + 1.0) / (
+        math.gamma(d + 0.5) * math.gamma(d + 0.8 + 0.5)
+    )
+    row = json.loads(out)["rows"][0]
+    assert math.isclose(row["value"], expect, rel_tol=1e-10)
+
+
 def test_eval_missing_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--op", "kober1", "--f", "power:2", "--u", "1")
     assert code == 2

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, gammasgn, rgamma
 
+from kober import scalar_ops
 from kober.errors import (
     DomainError,
     HypergeometricNonConvergent,
     NonDifferentiable,
     TailDivergence,
 )
-from kober.quadrature import QuadConfig
+from kober.quadrature import QuadConfig, jacobi_rule_01
 from kober.scalar_ops import (
     callback,
     exp_decay,
@@ -282,6 +283,39 @@ def test_2f1_domain_errors():
         gauss_2f1(1.0, 1.0, 2.0, 1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2, 3])
+def test_2f1_whole_gap_against_mpmath(m):
+    # c - a - b = m: the logarithmic connection case, up to z = 1 - 1e-8
+    z = np.array([0.5001, 0.75, 0.99, 1.0 - 1e-5, 1.0 - 1e-8])
+    for a, b in [(0.7, -0.4), (1.3, 0.45), (-1.6, 2.2)]:
+        c = a + b + m
+        got = gauss_2f1(a, b, c, z)
+        expect = [float(mp.hyp2f1(a, b, c, zz)) for zz in z]
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, z",
+    [
+        (0.3, 0.7, 1.0, 1.0 - 1e-7),
+        (1.3, 0.9, 1.2, 1.0 - 1e-6),
+        (2.5253, -1.4791, 2.0462, 0.99999944),
+        (-1.8865, -2.4537, -4.3402, 0.99999996),
+    ],
+)
+def test_2f1_whole_gap_near_one(a, b, c, z):
+    # the first three once exhausted a 2M-term power series; scipy's hyp2f1
+    # returns nan at the third and 0.58528 at the fourth
+    np.testing.assert_allclose(gauss_2f1(a, b, c, z), float(mp.hyp2f1(a, b, c, z)), rtol=1e-10)
+
+
+def test_2f1_whole_gap_divergent_at_one_still_raises():
+    with pytest.raises(HypergeometricNonConvergent):
+        gauss_2f1(0.3, 0.7, 1.0, 1.0 - 1e-9)
+    with pytest.raises(HypergeometricNonConvergent):
+        gauss_2f1(1.3, 0.9, 1.2, 1.0 - 1e-9)
+
+
 @given(st.floats(0.3, 1.5), st.floats(0.2, 1.2), st.floats(0.0, 2.0), st.floats(0.3, 2.0))
 @settings(max_examples=40, deadline=None)
 def test_saigo_reduces_to_first_kind_when_factor_is_constant(zeta, alpha, lam, u):
@@ -400,6 +434,40 @@ def test_multivar_three_variables_product_of_shifts():
     )
     expect = 6.0 * (gamma(3.0) / gamma(3.5)) ** 3
     np.testing.assert_allclose(val, expect, rtol=1e-11)
+
+
+def _one_slab_multivar(kind, f, u, zeta, alpha, n):
+    # the n-node tensor estimate built on the whole grid at once
+    vs, ws = [], []
+    for uj, zj, aj in zip(u, zeta, alpha):
+        t, w = jacobi_rule_01(n, aj - 1.0, zj if kind == "first" else zj - 1.0)
+        vs.append(uj * t if kind == "first" else uj / t)
+        ws.append(w / gamma(aj))
+    grid = np.meshgrid(*vs, indexing="ij", sparse=True)
+    vals = np.broadcast_to(np.asarray(f(*grid), dtype=float), (n,) * len(vs))
+    for w in reversed(ws):
+        vals = vals @ w
+    return float(vals)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize(
+    "k, f",
+    [
+        (2, lambda a, b: np.exp(-a - b) / (1.0 + a * b)),
+        (2, lambda a, b: np.exp(-b)),
+        (3, lambda a, b, c: np.exp(-a - c) / (1.0 + a * b + c)),
+        (3, lambda a, b, c: np.exp(-a * c - c)),
+    ],
+)
+def test_multivar_slabs_match_one_slab(kind, k, f, monkeypatch):
+    # small slabs (uneven at k = 2, one row each at k = 3); the second and
+    # fourth integrands ignore an argument and come back broadcast
+    monkeypatch.setattr(scalar_ops, "CHUNK_ENTRIES", 1000)
+    u, zeta, alpha = (1.1, 0.7, 1.6)[:k], (0.8, 1.3, 0.6)[:k], (0.5, 1.2, 0.9)[:k]
+    val, info = multivar_op(kind, f, u, zeta=zeta, alpha=alpha, full_output=True)
+    expect = _one_slab_multivar(kind, f, u, zeta, alpha, info.nodes)
+    np.testing.assert_allclose(val, expect, rtol=1e-13)
 
 
 def test_multivar_nonsmooth_joint_integrand():
