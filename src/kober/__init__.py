@@ -58,7 +58,6 @@ from .randmat import (
     wishart_det_moment,
 )
 from .scalar_ops import (
-    ScalarOpSpec,
     TestFunction1D,
     as_test_function,
     callback,

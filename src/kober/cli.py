@@ -41,9 +41,8 @@ from .matrix_ops import (
     wishart_density,
 )
 from .mtransform import verify_transform
+from .randmat import DEFAULT_SEED
 from .suites import SUITES, run_suite
-
-DEFAULT_SEED = 0xE4DE17
 
 
 class CliError(Exception):

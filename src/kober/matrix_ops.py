@@ -122,90 +122,81 @@ def param_chain(spec):
 
 @dataclass(frozen=True)
 class MatrixTestFunction:
-    """A function of k SPD matrix arguments with declared structure.
+    """A function of k SPD p x p matrix arguments V_1..V_k.
 
-    Families: det_power (prod |V_j|^lam_j), exp_neg_trace (e^(-sum tr V_j)),
-    det_power_times_exp (prod |V_j|^(gamma_j-(p+1)/2) e^(-tr V_j)),
-    wishart_density (identity-scale Wishart density, normalized), callback.
+    Without fn it is the law
+
+      f = exp(sum_j [c + a_j log|V_j| - b tr V_j]),
+
+    one parameter row (a_j, b, c) per family:
+
+      det_power(lam)           a_j = lam_j,               b = 0,   c = 0
+      exp_neg_trace            a_j = 0,                   b = 1,   c = 0
+      det_power_times_exp(g)   a_j = g_j - (p+1)/2,       b = 1,   c = 0
+      wishart_density(df)      a_j = df/2 - (p+1)/2,      b = 1/2,
+                               c = -(p df/2 ln 2 + ln Gamma_p(df/2))
+
+    The law needs only log|V_j| and tr V_j, and a term whose coefficient is
+    0 is never computed.  With fn (matrix_callback) f is fn of the dense
+    slot stacks.  family is only a label for messages.
     """
 
     family: str
     p: int
     k: int = 1
-    lam: tuple = ()
-    gamma: tuple = ()
-    df: float = 0.0
+    a: tuple = ()
+    b: float = 0.0
+    c: float = 0.0
     fn: Callable | None = None
+
+    def law(self, logdet, trace, shape):
+        """The law from per-slot summaries: logdet(j) = log|V_j| and
+        trace(j) = tr V_j, each called only where its coefficient is
+        nonzero; shape is the broadcast leading shape of the slots."""
+        logs = self.k * self.c
+        for j, a in enumerate(self.a):
+            if a:
+                logs = logs + a * logdet(j)
+            if self.b:
+                logs = logs - self.b * trace(j)
+        out = np.exp(logs)
+        return out if np.shape(out) == shape else np.full(shape, out)
 
     def value(self, vs):
         """Batched evaluation: vs is a list of k stacks of shape (..., p, p)
         whose leading shapes broadcast against each other, e.g. (n, p, p)
         each, or (rows, 1, p, p) and (1, n2, p, p) from the p = 1 tensor
         quadrature; returns the broadcast leading shape.  Callbacks must
-        index the slots as v[..., i, j], not v[:, i, j]."""
-        if self.family == "callback":
+        index the slots as v[..., i, j], not v[:, i, j].  The law takes
+        log|V_j| from the Cholesky factor of V_j (NotPositiveDefinite if a
+        stack member is not positive definite)."""
+        if self.fn is not None:
             return np.asarray(self.fn(*vs), dtype=float)
-
-        def logdet(v):
-            if v.shape[-1] == 1:
-                return np.log(v[..., 0, 0])
-            return np.linalg.slogdet(v)[1]
-
-        def tr(v):
-            if v.shape[-1] == 1:
-                return v[..., 0, 0]
-            return np.trace(v, axis1=-2, axis2=-1)
-
-        logs = 0.0
-        for j, v in enumerate(vs):
-            if self.family == "det_power":
-                logs = logs + self.lam[j] * logdet(v)
-            elif self.family == "exp_neg_trace":
-                logs = logs - tr(v)
-            elif self.family == "det_power_times_exp":
-                logs = logs + (self.gamma[j] - (self.p + 1) / 2.0) * logdet(v)
-                logs = logs - tr(v)
-            elif self.family == "wishart_density":
-                half = self.df / 2.0
-                norm = self.p * half * math.log(2.0) + ln_gamma_p(self.p, half)
-                logs = logs + (half - (self.p + 1) / 2.0) * logdet(v)
-                logs = logs - 0.5 * tr(v) - norm
-            else:
-                raise DomainError(f"unknown family {self.family!r}")
-        return np.exp(logs)
+        return self.law(
+            lambda j: smallmat.logdet(smallmat.cholesky(smallmat.entries(vs[j]))),
+            lambda j: sum(vs[j][..., i, i] for i in range(self.p)),
+            np.broadcast_shapes(*(np.shape(v)[:-2] for v in vs)),
+        )
 
     def mellin(self, s):
         """Closed-form M-transform, the integral of prod |V_j|^(s_j-(p+1)/2) f
-        over the SPD cone, or None if the family has no closed form.  Raises
-        DomainError where the integral diverges (a Gamma_p argument at or
-        below (p-1)/2)."""
+        over the SPD cone: prod_j e^c Gamma_p(s_j+a_j) b^(-p(s_j+a_j)), or
+        None for callbacks and b = 0.  Raises DomainError where the integral
+        diverges (a Gamma_p argument at or below (p-1)/2)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if len(s) != self.k:
             raise DomainError(f"need {self.k} transform variables, got {len(s)}")
-        half = (self.p + 1) / 2.0
+        if self.fn is not None or not self.b:
+            return None
         total = 0.0
-        for j, sj in enumerate(s):
-            if self.family == "exp_neg_trace":
-                arg = sj
-            elif self.family == "det_power_times_exp":
-                arg = self.gamma[j] + sj - half
-            elif self.family == "wishart_density":
-                arg = self.df / 2.0 + sj - half
-            else:
-                return None
+        for sj, a in zip(s, self.a):
+            arg = sj + a
             if not arg > (self.p - 1) / 2.0:
                 raise DomainError(
                     f"the transform of {self.family} diverges at s = {sj}: "
                     f"Gamma_p argument {arg} <= (p-1)/2 = {(self.p - 1) / 2.0}"
                 )
-            term = ln_gamma_p(self.p, arg)
-            if self.family == "wishart_density":
-                term = (
-                    self.p * (sj - half) * math.log(2.0)
-                    + term
-                    - ln_gamma_p(self.p, self.df / 2.0)
-                )
-            total += term
+            total += self.c + ln_gamma_p(self.p, arg) - self.p * arg * math.log(self.b)
         return math.exp(total)
 
     def normalizer(self):
@@ -214,77 +205,85 @@ class MatrixTestFunction:
 
     def sampler(self):
         """Returns draw(stream_or_rng, size) -> list of (n, p, p) following the
-        normalized density f / normalizer, or None for unnormalizable families."""
-        if self.family == "exp_neg_trace":
-            dfs = [float(self.p + 1)] * self.k
-        elif self.family == "det_power_times_exp":
-            dfs = [2.0 * g for g in self.gamma]
-        elif self.family == "wishart_density":
-            dfs = [self.df] * self.k
-
-            def draw(stream, size):
-                return [sample_wishart(self.p, d, stream, size) for d in dfs]
-
-            return draw
-        else:
+        normalized density f / normalizer, V_j ~ Wishart(2 (a_j + (p+1)/2), I)
+        / (2 b), or None for callbacks and b = 0."""
+        if self.fn is not None or not self.b:
             return None
+        dfs = [2.0 * (a + (self.p + 1) / 2.0) for a in self.a]
 
         def draw(stream, size):
-            return [0.5 * sample_wishart(self.p, d, stream, size) for d in dfs]
+            return [sample_wishart(self.p, d, stream, size) / (2.0 * self.b) for d in dfs]
 
         return draw
 
-    def as_scalar(self):
-        """The p=1, k=1 scalar counterpart in scalar_ops terms."""
+    def scalar_axes(self):
+        """The per-slot p = 1 scalar laws e^c v^a_j e^(-b v) in scalar_ops
+        terms, whose product over the slots is f."""
         from . import scalar_ops
 
-        if self.p != 1 or self.k != 1:
+        if self.p != 1 or self.fn is not None:
+            raise DomainError(f"{self.family} has no p = 1 scalar counterpart")
+        return [scalar_ops.law(a, self.b, math.exp(self.c), self.family) for a in self.a]
+
+    def as_scalar(self):
+        """The p=1, k=1 scalar counterpart in scalar_ops terms."""
+        if self.k != 1:
             raise DomainError("scalar reduction needs p = 1 and k = 1")
-        if self.family == "det_power":
-            return scalar_ops.power(self.lam[0])
-        if self.family == "exp_neg_trace":
-            return scalar_ops.exp_decay(1.0)
-        if self.family == "det_power_times_exp":
-            return scalar_ops.power_times_exp(self.gamma[0] - 1.0, 1.0)
-        if self.family == "wishart_density":
-            half = self.df / 2.0
-            return scalar_ops.power_times_exp(
-                half - 1.0, 0.5, coeff=math.exp(-half * math.log(2.0) - math.lgamma(half))
-            )
-        raise DomainError(f"no scalar counterpart for family {self.family!r}")
+        return self.scalar_axes()[0]
+
+
+def _per_slot(name, values, k):
+    """values as one float per slot: a single value is repeated over k slots,
+    any other count but k is refused."""
+    values = tuple(float(x) for x in np.atleast_1d(values))
+    k = k or len(values)
+    if len(values) == 1:
+        values = values * k
+    if len(values) != k:
+        raise DomainError(f"{name} needs 1 or k = {k} values, got {len(values)}")
+    return values, k
 
 
 def det_power(p, lam, k=None):
-    lam = tuple(float(x) for x in np.atleast_1d(lam))
-    k = k or len(lam)
-    if len(lam) == 1 and k > 1:
-        lam = lam * k
-    return MatrixTestFunction("det_power", p=p, k=k, lam=lam)
+    lam, k = _per_slot("det_power", lam, k)
+    return MatrixTestFunction("det_power", p=p, k=k, a=lam)
 
 
 def exp_neg_trace(p, k=1):
-    return MatrixTestFunction("exp_neg_trace", p=p, k=k)
+    return MatrixTestFunction("exp_neg_trace", p=p, k=k, a=(0.0,) * k, b=1.0)
 
 
 def det_power_times_exp(p, gamma, k=None):
-    gamma = tuple(float(x) for x in np.atleast_1d(gamma))
-    k = k or len(gamma)
-    if len(gamma) == 1 and k > 1:
-        gamma = gamma * k
+    gamma, k = _per_slot("det_power_times_exp", gamma, k)
     for g in gamma:
         if not g > (p - 1) / 2.0:
             raise DomainError(f"det_power_times_exp needs gamma > (p-1)/2, got {g}")
-    return MatrixTestFunction("det_power_times_exp", p=p, k=k, gamma=gamma)
+    a = tuple(g - (p + 1) / 2.0 for g in gamma)
+    return MatrixTestFunction("det_power_times_exp", p=p, k=k, a=a, b=1.0)
 
 
 def wishart_density(p, df, k=1):
     if not df > p - 1:
         raise DomainError(f"wishart_density needs df > p - 1, got {df}")
-    return MatrixTestFunction("wishart_density", p=p, k=k, df=float(df))
+    half = df / 2.0
+    c = -(p * half * math.log(2.0) + ln_gamma_p(p, half))
+    return MatrixTestFunction(
+        "wishart_density", p=p, k=k, a=(half - (p + 1) / 2.0,) * k, b=0.5, c=c
+    )
 
 
 def matrix_callback(p, fn, k=1):
     return MatrixTestFunction("callback", p=p, k=k, fn=fn)
+
+
+def _f_of_factors(f, shape, factor, logdet, scale=1.0):
+    """f at V_j = scale C_j C_j' with C_j = factor(j) and log|V_j| = logdet(j),
+    for factor stacks a Monte Carlo route already holds.  The law reads
+    log|V_j| and tr V_j = scale sum C_j^2 with no dense V; callbacks get
+    the dense stacks."""
+    if f.fn is not None:
+        return f.value([scale * smallmat.stack(smallmat.gram(factor(j))) for j in range(f.k)])
+    return f.law(logdet, lambda j: scale * smallmat.gram_trace(factor(j)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +364,30 @@ def _proposal_for_second(p, zeta, alpha):
     return BetaMatParams(p, zeta + shift, alpha), shift
 
 
+def _operator_arguments(params, f, U):
+    """Per slot the root U^(1/2) as a smallmat matrix and log|U|."""
+    U = [require_spd(u, "operator argument") for u in U]
+    if len(U) != params.k:
+        raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
+    if f.k != params.k:
+        raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
+    roots = [smallmat.entries(sym_sqrt(u)) for u in U]
+    log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
+    return roots, log_u
+
+
 def kober_matrix_second(params, f, U, mc=None):
     """Second-kind operator value at (U_1..U_k), Monte Carlo estimate.
 
     Each slot reduces exactly to an expectation over W_j ~ matrix-beta:
     value = prod_j Gamma_p(z_j)/Gamma_p(z_j+a_j) * E[ f(U^(1/2) W^(-1) U^(1/2)) ].
-    W^(-1) and |W| come from the triangular factor of each beta draw.
+    W^(-1) and |W| come from the triangular factor K of each beta draw, so
+    V = C C' with C = U^(1/2) K^(-T) and log|V| = log|U| - log|W|.
     """
     mc = mc or MCConfig()
     if params.kind != "second":
         raise DomainError("params.kind must be 'second'")
-    U = [require_spd(u, "operator argument") for u in U]
-    if len(U) != params.k:
-        raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
-    roots = [smallmat.entries(sym_sqrt(u)) for u in U]
+    roots, log_u = _operator_arguments(params, f, U)
     props = []
     ln_scale = 0.0
     for zeta, alpha in params.pairs:
@@ -387,14 +396,16 @@ def kober_matrix_second(params, f, U, mc=None):
         ln_scale += ln_gamma_p(params.p, prm.a) - ln_gamma_p(params.p, prm.a + alpha)
 
     def vals_fn(rng, m):
-        vs = []
+        ks = [matrix_beta_factor(prm, rng, m, mc.antithetic) for prm, _ in props]
+        out = _f_of_factors(
+            f, (m,),
+            lambda j: smallmat.matmul(roots[j], smallmat.inv_factor(ks[j])),
+            lambda j: log_u[j] - smallmat.logdet(ks[j]),
+        )
         logw = 0.0
-        for (prm, shift), root in zip(props, roots):
-            k = matrix_beta_factor(prm, rng, m, mc.antithetic)
-            vs.append(smallmat.stack(smallmat.congruence(root, smallmat.inv_factor(k))))
+        for (_, shift), k in zip(props, ks):
             if shift:
                 logw = logw - shift * smallmat.logdet(k)
-        out = f.value(vs)
         if isinstance(logw, np.ndarray):
             out = out * np.exp(logw)
         return out
@@ -407,14 +418,13 @@ def kober_matrix_first(params, f, U, mc=None):
 
     value = prod_j Gamma_p(z_j+(p+1)/2)/Gamma_p(z_j+(p+1)/2+a_j)
             * E[ f(U^(1/2) W U^(1/2)) ], W_j ~ matrix-beta(z_j+(p+1)/2, a_j).
+    With W = K K' from the beta factor, V = C C' with C = U^(1/2) K and
+    log|V| = log|U| + log|W|.
     """
     mc = mc or MCConfig()
     if params.kind != "first":
         raise DomainError("params.kind must be 'first'")
-    U = [require_spd(u, "operator argument") for u in U]
-    if len(U) != params.k:
-        raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
-    roots = [smallmat.entries(sym_sqrt(u)) for u in U]
+    roots, log_u = _operator_arguments(params, f, U)
     shift = (params.p + 1) / 2.0
     props = [BetaMatParams(params.p, zeta + shift, alpha) for zeta, alpha in params.pairs]
     ln_scale = sum(
@@ -422,13 +432,12 @@ def kober_matrix_first(params, f, U, mc=None):
     )
 
     def vals_fn(rng, m):
-        vs = [
-            smallmat.stack(
-                smallmat.congruence(root, matrix_beta_factor(prm, rng, m, mc.antithetic))
-            )
-            for prm, root in zip(props, roots)
-        ]
-        return f.value(vs)
+        ks = [matrix_beta_factor(prm, rng, m, mc.antithetic) for prm in props]
+        return _f_of_factors(
+            f, (m,),
+            lambda j: smallmat.matmul(roots[j], ks[j]),
+            lambda j: log_u[j] + smallmat.logdet(ks[j]),
+        )
 
     return _mc_expectation(vals_fn, mc, scale=math.exp(ln_scale))
 

@@ -21,9 +21,9 @@ from .errors import DomainError, ProposalDomainError, TailDivergence
 from .matgamma import ln_gamma_p
 from .matrix_ops import (
     MatrixOpParams,
-    MatrixTestFunction,
     MCConfig,
     _density_mode_factors,
+    _f_of_factors,
     _mc_expectation,
     density_constant,
 )
@@ -217,25 +217,6 @@ def mellin_numeric_1d(f, s, q=None, *, full_output=False):
 
 # ---------------------------------------------------------------------------
 # p = 1 operator output curves with declared behaviour
-
-
-def _scalar_axes(f):
-    """Per-slot scalar factors of a p = 1 test function family."""
-    if f.p != 1:
-        raise DomainError("scalar axes need p = 1")
-    if f.family == "det_power":
-        return [scalar_ops.power(lam) for lam in f.lam]
-    if f.family == "exp_neg_trace":
-        return [scalar_ops.exp_decay(1.0) for _ in range(f.k)]
-    if f.family == "det_power_times_exp":
-        return [scalar_ops.power_times_exp(g - 1.0, 1.0) for g in f.gamma]
-    if f.family == "wishart_density":
-        half = f.df / 2.0
-        coeff = math.exp(-half * math.log(2.0) - math.lgamma(half))
-        return [
-            scalar_ops.power_times_exp(half - 1.0, 0.5, coeff=coeff) for _ in range(f.k)
-        ]
-    raise DomainError(f"family {f.family!r} has no per-slot scalar factors")
 
 
 def operator_curve_1d(kind, zeta, alpha, f, q=None):
@@ -443,7 +424,7 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     the shape (rows, n2), or DomainError is raised.
     """
     if axes is None:
-        axes = _scalar_axes(f)
+        axes = f.scalar_axes()
     coeffs = []
     grids = []
     for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes):
@@ -485,6 +466,8 @@ def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
         raise DomainError("the quadrature transform path needs p = 1")
     if params.k > 2:
         raise DomainError("the quadrature transform path covers k <= 2")
+    if f.k != params.k:
+        raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     pt = _as_mpoint(s, params.k)
     pt.check(params)
     val = _tensor_transform_p1(params.kind, params, f, pt, n_outer, n_inner, axes=axes)
@@ -581,15 +564,21 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
 
     def vals_fn(rng, m):
         logs = 0.0
-        vs = []
+        ts, ks, log_u = [], [], []
         for prm, df0, sj in zip(betas, proposal_df, pt):
             t = wishart_factor(p, df0, rng, m)  # U = T T' / 2, R = T / sqrt(2)
-            k = matrix_beta_factor(prm, rng, m, mc.antithetic)
-            vs.append(0.5 * smallmat.stack(smallmat.congruence(t, smallmat.inv_factor(k))))
-            logs = logs + (sj - df0 / 2.0) * (smallmat.logdet(t) - p * math.log(2.0))
-            # tr U is half the sum of the squared entries of T
-            logs = logs + 0.5 * sum(x * x for row in t for x in row if x is not None)
-        return f.value(vs) * np.exp(logs)
+            ts.append(t)
+            ks.append(matrix_beta_factor(prm, rng, m, mc.antithetic))
+            log_u.append(smallmat.logdet(t) - p * math.log(2.0))
+            logs = logs + (sj - df0 / 2.0) * log_u[-1] + 0.5 * smallmat.gram_trace(t)
+        # V = R W^(-1) R' = (T K^(-T)) (T K^(-T))' / 2, log|V| = log|U| - log|W|
+        vals = _f_of_factors(
+            f, (m,),
+            lambda j: smallmat.matmul(ts[j], smallmat.inv_factor(ks[j])),
+            lambda j: log_u[j] - smallmat.logdet(ks[j]),
+            scale=0.5,
+        )
+        return vals * np.exp(logs)
 
     return _mc_expectation(vals_fn, mc, scale=math.exp(ln_scale))
 

@@ -13,7 +13,7 @@ as well, so the remaining integrand is smooth.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,10 +49,19 @@ MAX_VARS = 3
 class TestFunction1D:
     """A function on (0, infinity) with declared endpoint behaviour.
 
-    family is one of power, exp_decay, power_times_exp, exp_growth, callback.
+    Without fn it is the law f(v) = coeff v^lam e^(-rate v), one parameter
+    row per family:
+
+      power(lam)                   lam,    rate = 0        tail ("power", -lam)
+      exp_decay(rate)              lam = 0, rate > 0       tail ("exp", rate)
+      power_times_exp(lam, rate)   lam,    rate > 0        tail ("exp", rate)
+      exp_growth(rate)             lam = 0, rate -> -rate  left_tail ("exp", rate)
+
+    each with zero_order = lam.  With fn (a callback) f is fn itself.
     zero_order declares f(v) ~ C v^zero_order as v -> 0+; tail declares the
     behaviour at infinity as ("exp", rate), ("power", m) for ~ C v^(-m), or
-    ("compact", lo, hi) for support contained in [lo, hi].
+    ("compact", lo, hi) for support contained in [lo, hi].  family is only a
+    label for messages.
     """
 
     family: str
@@ -67,58 +76,63 @@ class TestFunction1D:
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        if self.family == "power":
-            return self.coeff * v**self.lam
-        if self.family == "exp_decay":
-            return self.coeff * np.exp(-self.rate * v)
-        if self.family == "power_times_exp":
-            return self.coeff * v**self.lam * np.exp(-self.rate * v)
-        if self.family == "exp_growth":
-            return self.coeff * np.exp(self.rate * v)
-        return self.fn(v)
+        if self.fn is not None:
+            return self.fn(v)
+        out = np.full(v.shape, self.coeff)
+        if self.lam:
+            out = out * v**self.lam
+        if self.rate:
+            out = out * np.exp(-self.rate * v)
+        return out
 
     def split_power(self):
         """Return (order, residual) with f(v) = v^order residual(v) and the
         residual smooth and finite at zero."""
-        if self.family == "power":
-            return self.lam, lambda v: np.full(np.shape(v), self.coeff)
-        if self.family == "power_times_exp":
-            return self.lam, lambda v: self.coeff * np.exp(-self.rate * np.asarray(v))
-        if self.family == "callback" and self.zero_order != 0.0:
-            return self.zero_order, lambda v: self.fn(v) / np.asarray(v) ** self.zero_order
-        return 0.0, self
+        order = self.zero_order
+        if order == 0.0:
+            return 0.0, self
+        if self.fn is None:
+            return order, replace(self, lam=0.0, zero_order=0.0)
+        return order, lambda v: self.fn(v) / np.asarray(v) ** order
 
     def mellin(self, s):
         """Known Mellin transform int_0^infty v^(s-1) f(v) dv, or None."""
-        if self.family == "exp_decay" and s > 0:
-            return self.coeff * _gamma(s) * self.rate ** (-s)
-        if self.family == "power_times_exp" and s + self.lam > 0:
+        if self.fn is None and self.rate > 0 and s + self.lam > 0:
             return self.coeff * _gamma(s + self.lam) * self.rate ** (-(s + self.lam))
         return None
 
 
+def law(lam, rate, coeff, family):
+    """f(v) = coeff v^lam e^(-rate v), tails set from the sign of rate: an
+    exponential tail for rate > 0, a power tail v^lam for rate = 0 and an
+    exponential left tail for rate < 0."""
+    tail = ("exp", rate) if rate > 0 else ("power", -lam) if rate == 0 else None
+    left_tail = ("exp", -rate) if rate < 0 else None
+    return TestFunction1D(
+        family, lam=lam, rate=rate, coeff=coeff, zero_order=lam, tail=tail, left_tail=left_tail
+    )
+
+
 def power(lam, coeff=1.0):
-    return TestFunction1D("power", lam=lam, coeff=coeff, zero_order=lam, tail=("power", -lam))
+    return law(lam, 0.0, coeff, "power")
 
 
 def exp_decay(rate=1.0, coeff=1.0):
     if rate <= 0:
         raise DomainError("exp_decay requires a positive rate")
-    return TestFunction1D("exp_decay", rate=rate, coeff=coeff, tail=("exp", rate))
+    return law(0.0, rate, coeff, "exp_decay")
 
 
 def power_times_exp(lam, rate=1.0, coeff=1.0):
     if rate <= 0:
         raise DomainError("power_times_exp requires a positive rate")
-    return TestFunction1D(
-        "power_times_exp", lam=lam, rate=rate, coeff=coeff, zero_order=lam, tail=("exp", rate)
-    )
+    return law(lam, rate, coeff, "power_times_exp")
 
 
 def exp_growth(rate=1.0, coeff=1.0):
     if rate <= 0:
         raise DomainError("exp_growth requires a positive rate")
-    return TestFunction1D("exp_growth", rate=rate, coeff=coeff, left_tail=("exp", rate))
+    return law(0.0, -rate, coeff, "exp_growth")
 
 
 def callback(fn, zero_order=0.0, tail=None, left_tail=None, smooth_order=None):
@@ -138,23 +152,6 @@ def as_test_function(f):
     if callable(f):
         return callback(f)
     raise DomainError(f"expected a TestFunction1D or callable, got {type(f)!r}")
-
-
-@dataclass(frozen=True)
-class ScalarOpSpec:
-    """Parameter bundle for the scalar operators.
-
-    kind: kober1, kober2, riemann_liouville, weyl_left, weyl_right or saigo1.
-    alpha is the fractional order, zeta the index parameter, a the lower
-    terminal of riemann_liouville, (beta, gamma) the extra Saigo parameters.
-    """
-
-    kind: str
-    alpha: float
-    zeta: float = 0.0
-    a: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +462,13 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q=None, full_output=False):
 
 
 def _weyl_tail_exp(f, x, alpha, w0, rate, n):
-    """int_{w0}^inf w^(alpha-1) f(x+w) dw for exponentially decaying families,
-    with the decay paired against the Gauss-Laguerre weight analytically."""
+    """int_{w0}^inf w^(alpha-1) f(x+w) dw for the law f = coeff v^lam e^(-rate v),
+    rate > 0, with the decay paired against the Gauss-Laguerre weight
+    analytically."""
     n = min(n, 128)
     y, wl = laguerre_rule(n)
     w = w0 + y / rate
-    if f.family == "exp_decay":
-        res = f.coeff * np.ones_like(w)
-    elif f.family == "power_times_exp":
-        res = f.coeff * (x + w) ** f.lam
-    else:
-        raise TailDivergence("analytic exponential tail needs a declared family")
-    vals = w ** (alpha - 1.0) * res
+    vals = w ** (alpha - 1.0) * (f.coeff * (x + w) ** f.lam)
     return math.exp(-rate * (x + w0)) / rate * float(wl @ vals)
 
 
@@ -545,7 +537,7 @@ def weyl_right(f, x, *, alpha, q=None, full_output=False):
             w @ np.asarray(head_res(x + w0 * t), dtype=float)
         )
         if kind == "exp":
-            if f.family in ("exp_decay", "power_times_exp"):
+            if f.fn is None:
                 tail_val = _weyl_tail_exp(f, x, alpha, w0, rate, n)
             else:
                 tail_val = _weyl_tail_exp_segments(f, x, alpha, w0, rate, n)
@@ -591,13 +583,13 @@ def weyl_left(f, x, *, alpha, q=None, full_output=False):
     f = as_test_function(f)
     _check_order(alpha)
     x = float(x)
-    if f.family == "exp_growth":
-        # f(x - w) = coeff e^(rate x) e^(-rate w): an exponential decay profile in w
-        mirrored = exp_decay(rate=f.rate, coeff=f.coeff * math.exp(2.0 * f.rate * x))
-        return weyl_right(mirrored, x, alpha=alpha, q=q, full_output=full_output)
     if f.left_tail is None:
         raise TailDivergence("weyl_left needs a declared left tail")
-    mirrored = callback(lambda v: f(2.0 * x - v), tail=f.left_tail)
+    if f.fn is None and f.lam == 0.0:
+        # f(2x - v) = coeff e^(-2 rate x) e^(rate v), rate < 0: an exponential decay in v
+        mirrored = exp_decay(rate=-f.rate, coeff=f.coeff * math.exp(-2.0 * f.rate * x))
+    else:
+        mirrored = callback(lambda v: f(2.0 * x - v), tail=f.left_tail)
     return weyl_right(mirrored, x, alpha=alpha, q=q, full_output=full_output)
 
 
@@ -660,12 +652,12 @@ def frac_derivative(f, x, *, alpha, q=None):
     x = _check_point(x, "x")
     m = int(math.floor(alpha)) + 1
 
-    if f.family == "power":
+    if f.fn is None and f.rate == 0:
         if f.lam <= -1.0:
             raise DomainError("power exponent must exceed -1 for the derivative")
         return f.coeff * _gamma(f.lam + 1.0) * _rgamma(f.lam + 1.0 - alpha) * x ** (f.lam - alpha)
 
-    if f.family == "exp_decay":
+    if f.fn is None and f.lam == 0 and f.rate > 0:
         # split off the initial values so the remaining integral is smooth:
         # the m-th derivative of the (m-alpha)-order integral of f equals
         # I^(m-alpha) f^(m) + sum_i f^(i)(0) x^(i-alpha) / Gamma(i+1-alpha)
@@ -675,7 +667,7 @@ def frac_derivative(f, x, *, alpha, q=None):
             out += f.coeff * (-f.rate) ** i * x ** (i - alpha) * _rgamma(i + 1.0 - alpha)
         return out
 
-    if f.family == "callback" and (f.smooth_order is None or f.smooth_order < m):
+    if f.fn is not None and (f.smooth_order is None or f.smooth_order < m):
         raise NonDifferentiable(
             f"callback must declare smooth_order >= {m} for a derivative of order {alpha}"
         )

@@ -23,16 +23,17 @@ from .matgamma import MAX_DIM
 
 
 def entries(x):
-    """A stack (n, p, p), or a single (p, p) matrix as floats, entry by entry."""
+    """A stack (..., p, p), or a single (p, p) matrix as floats, entry by
+    entry; each entry has the stack's leading shape."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
-        raise DimensionMismatch(f"expected (p, p) or (n, p, p), got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatch(f"expected (p, p) or (..., p, p), got shape {x.shape}")
     p = x.shape[-1]
     if not 1 <= p <= MAX_DIM:
         raise DimensionMismatch(f"matrix dimension {p} outside 1..{MAX_DIM}")
     if x.ndim == 2:
         return [[float(v) for v in row] for row in x]
-    e = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    e = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
     return [[e[i, j] for j in range(p)] for i in range(p)]
 
 
@@ -85,6 +86,11 @@ def gram(a):
         for j in range(i + 1):
             out[i][j] = out[j][i] = _dot(zip(a[i], a[j]))
     return out
+
+
+def gram_trace(a):
+    """tr(A A'), the sum of the squared entries of A."""
+    return sum(_dot(zip(row, row)) for row in a)
 
 
 def congruence(m, t):

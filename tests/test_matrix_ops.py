@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import kober.scalar_ops as so
+from kober import smallmat
 from kober.errors import DomainError, KoberError, MomentDivergence, ProposalDomainError
 from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
     ChainSpec,
     MatrixOpParams,
     MCConfig,
+    _f_of_factors,
     density_constant,
     density_mode_sample,
     det_power,
@@ -25,8 +27,10 @@ from kober.randmat import (
     BetaMatParams,
     RngStream,
     matrix_beta_det_moment,
+    matrix_beta_factor,
     wishart_det_moment,
 )
+from kober.spd import sym_sqrt
 
 U22 = np.array([[2.0, 0.3], [0.3, 1.0]])
 
@@ -341,3 +345,71 @@ def test_singular_beta_draw_is_a_kober_error():
         except KoberError:
             continue
         within_se(est, want, k=4.0)
+
+
+def test_near_bound_second_kind_takes_log_det_from_factors():
+    # the input of test_singular_beta_draw_is_a_kober_error: log|V| comes
+    # from the beta factor, so a W with a tiny eigenvalue no longer makes the
+    # dense V singular; every seed must return within 4 s.e.
+    zeta, alpha, lam = 1.2723987583241692, 2.5964093921226046, -0.574512041226322
+    prm = MatrixOpParams("second", 3, 1, ((zeta, alpha),))
+    f = det_power(3, -0.574512041226322)
+    want = math.exp(ln_gamma_p(3, zeta - lam) - ln_gamma_p(3, zeta - lam + alpha))
+    for seed in range(1, 41):
+        est = kober_matrix_second(prm, f, (np.eye(3),), MCConfig(n_samples=16000, seed=seed))
+        within_se(est, want, k=4.0)
+
+
+def test_per_slot_tuple_needs_one_or_k_values():
+    with pytest.raises(DomainError):
+        det_power(2, (1.0, 2.0, 3.0), k=2)
+    with pytest.raises(DomainError):
+        det_power_times_exp(2, (2.0, 3.0), k=3)
+    assert det_power(2, (1.5,), k=3).a == (1.5, 1.5, 1.5)
+    assert det_power_times_exp(2, (2.0, 3.0)).k == 2
+
+
+def _law_families(p, k):
+    return [
+        det_power(p, (0.7, -0.4)[:k]),
+        exp_neg_trace(p, k),
+        det_power_times_exp(p, (p / 2.0 + 0.3, p / 2.0 + 1.1)[:k]),
+        wishart_density(p, p + 1.5, k),
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_factor_summaries_match_dense_value(p, k):
+    # V_j = C_j C_j' as the operators form it: C = U^(1/2) K^(-T) with
+    # log|V| = log|U| - log|W| (second kind) or C = U^(1/2) K with
+    # log|V| = log|U| + log|W| (first kind), W = K K' a beta draw
+    rng = np.random.default_rng(40 + p)
+    n = 500
+    us = []
+    for _ in range(k):
+        g = rng.standard_normal((p, p))
+        us.append(g @ g.T / p + 0.5 * np.eye(p))
+    roots = [smallmat.entries(sym_sqrt(u)) for u in us]
+    log_u = [math.log(np.linalg.det(u)) for u in us]
+    ks = [matrix_beta_factor(BetaMatParams(p, 4.0 + p, 4.0 + p), rng, n) for _ in range(k)]
+    forms = [
+        (lambda j: smallmat.matmul(roots[j], smallmat.inv_factor(ks[j])),
+         lambda j: log_u[j] - smallmat.logdet(ks[j])),
+        (lambda j: smallmat.matmul(roots[j], ks[j]),
+         lambda j: log_u[j] + smallmat.logdet(ks[j])),
+    ]
+    for factor, logdet in forms:
+        dense = [smallmat.stack(smallmat.gram(factor(j))) for j in range(k)]
+        for f in _law_families(p, k):
+            np.testing.assert_allclose(
+                _f_of_factors(f, (n,), factor, logdet), f.value(dense), rtol=1e-12
+            )
+            # V = C C' / 2, as in the operator-route transform
+            np.testing.assert_allclose(
+                _f_of_factors(
+                    f, (n,), factor, lambda j: logdet(j) - p * math.log(2.0), scale=0.5
+                ),
+                f.value([0.5 * v for v in dense]),
+                rtol=1e-12,
+            )

@@ -13,6 +13,7 @@ from kober.matrix_ops import (
     MCConfig,
     det_power_times_exp,
     exp_neg_trace,
+    kober_matrix_second,
     matrix_callback,
     wishart_density,
 )
@@ -406,3 +407,13 @@ def test_verify_mixed_family_grid():
     prm = MatrixOpParams("second", 1, 2, ((2.8, 0.9), (2.6, 0.5)))
     reports = verify_transform("second", prm, f, [(1.3, 0.8), (0.9, 1.6)])
     assert [r.status for r in reports] == ["pass", "pass"]
+
+
+def test_slot_count_must_match_the_operator():
+    # exp_neg_trace(1, 2) is a two-slot law: a one-slot operator refuses it
+    # instead of evaluating a truncated or mis-indexed product
+    prm = MatrixOpParams("second", 1, 1, ((1.5, 0.7),))
+    with pytest.raises(DomainError):
+        mtransform_quadrature(prm, exp_neg_trace(1, 2), 1.3)
+    with pytest.raises(DomainError):
+        kober_matrix_second(prm, exp_neg_trace(1, 2), [np.eye(1)])
