@@ -8,7 +8,7 @@ case-by-case report of a single suite, use `kober verify --suite NAME`.
 import argparse
 import sys
 
-from kober.cli import DEFAULT_SEED
+from kober.randmat import DEFAULT_SEED
 from kober.suites import SUITES, run_suite
 
 

@@ -220,14 +220,19 @@ def resolve_config(args):
 # test function parsing
 
 
+def _parse_spec(spec):
+    """NAME[:A,B,...] as (NAME, [A, B, ...])."""
+    name, _, rest = spec.partition(":")
+    try:
+        return name, [float(v) for v in rest.split(",") if v.strip()] if rest else []
+    except ValueError:
+        raise CliError(f"bad numeric parameter in --f {spec!r}")
+
+
 def parse_scalar_f(spec):
     if not spec:
         raise CliError("eval needs --f (e.g. power:2, exp, exp:1.5, power-exp:1,2)")
-    name, _, rest = spec.partition(":")
-    try:
-        args = [float(v) for v in rest.split(",") if v.strip()] if rest else []
-    except ValueError:
-        raise CliError(f"bad numeric parameter in --f {spec!r}")
+    name, args = _parse_spec(spec)
     if name == "power":
         if not args:
             raise CliError("power needs an exponent, e.g. power:2")
@@ -242,13 +247,7 @@ def parse_scalar_f(spec):
 
 
 def parse_matrix_f(spec, p, k):
-    if not spec:
-        spec = "exp"
-    name, _, rest = spec.partition(":")
-    try:
-        args = [float(v) for v in rest.split(",") if v.strip()] if rest else []
-    except ValueError:
-        raise CliError(f"bad numeric parameter in --f {spec!r}")
+    name, args = _parse_spec(spec or "exp")
     if name == "exp":
         return exp_neg_trace(p, k)
     if name == "det-power":
@@ -363,8 +362,9 @@ def cmd_eval(cfg):
     else:
         rows, err_name = _scalar_eval_rows(cfg)
 
+    header = ("point", "value", err_name)
     if cfg.fmt == "csv":
-        payload = render_csv(("point", "value", err_name), rows)
+        payload = render_csv(header, rows)
     else:
         obj = {"command": "eval", "op": cfg.op, "f": cfg.f, "seed": cfg.seed}
         for name in ("p", "k", "beta", "gamma"):
@@ -375,9 +375,7 @@ def cmd_eval(cfg):
             v = getattr(cfg, name)
             if v is not None:
                 obj[name] = list(v)
-        obj["rows"] = [
-            {"point": pt, "value": val, err_name: err} for pt, val, err in rows
-        ]
+        obj["rows"] = [dict(zip(header, row)) for row in rows]
         payload = render_json(obj) + "\n"
     return payload, 0
 
@@ -395,30 +393,17 @@ def cmd_verify(cfg):
         )
     res = run_suite(cfg.suite, cfg.seed, p=cfg.p, n_samples=cfg.n_samples)
 
+    header = ("id", "ref", "expected", "got", "se", "tol", "pass")
+    rows = [(c.id, c.ref, c.expected, c.got, c.se, c.tol, c.passed) for c in res.cases]
     if cfg.fmt == "csv":
-        rows = [
-            (res.suite, res.seed, c.id, c.ref, c.expected, c.got, c.se, c.tol, c.passed)
-            for c in res.cases
-        ]
         payload = render_csv(
-            ("suite", "seed", "id", "ref", "expected", "got", "se", "tol", "pass"), rows
+            ("suite", "seed") + header, [(res.suite, res.seed) + row for row in rows]
         )
     else:
         obj = {
             "suite": res.suite,
             "seed": res.seed,
-            "cases": [
-                {
-                    "id": c.id,
-                    "ref": c.ref,
-                    "expected": c.expected,
-                    "got": c.got,
-                    "se": c.se,
-                    "tol": c.tol,
-                    "pass": c.passed,
-                }
-                for c in res.cases
-            ],
+            "cases": [dict(zip(header, row)) for row in rows],
         }
         payload = render_json(obj) + "\n"
 

@@ -364,8 +364,11 @@ def _proposal_for_second(p, zeta, alpha):
     return BetaMatParams(p, zeta + shift, alpha), shift
 
 
-def _operator_arguments(params, f, U):
-    """Per slot the root U^(1/2) as a smallmat matrix and log|U|."""
+def _operator_arguments(kind, params, f, U):
+    """Per slot the root U^(1/2) as a smallmat matrix and log|U|, for an
+    operator of the given kind."""
+    if params.kind != kind:
+        raise DomainError(f"params.kind must be {kind!r}")
     U = [require_spd(u, "operator argument") for u in U]
     if len(U) != params.k:
         raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
@@ -385,9 +388,7 @@ def kober_matrix_second(params, f, U, mc=None):
     V = C C' with C = U^(1/2) K^(-T) and log|V| = log|U| - log|W|.
     """
     mc = mc or MCConfig()
-    if params.kind != "second":
-        raise DomainError("params.kind must be 'second'")
-    roots, log_u = _operator_arguments(params, f, U)
+    roots, log_u = _operator_arguments("second", params, f, U)
     props = []
     ln_scale = 0.0
     for zeta, alpha in params.pairs:
@@ -422,9 +423,7 @@ def kober_matrix_first(params, f, U, mc=None):
     log|V| = log|U| + log|W|.
     """
     mc = mc or MCConfig()
-    if params.kind != "first":
-        raise DomainError("params.kind must be 'first'")
-    roots, log_u = _operator_arguments(params, f, U)
+    roots, log_u = _operator_arguments("first", params, f, U)
     shift = (params.p + 1) / 2.0
     props = [BetaMatParams(params.p, zeta + shift, alpha) for zeta, alpha in params.pairs]
     ln_scale = sum(
@@ -446,6 +445,20 @@ def kober_matrix_first(params, f, U, mc=None):
 # density interpretation
 
 
+def _beta_shapes(params, chain):
+    """Per slot the shapes (a_j, b_j) of the density-mode beta draws:
+    a_j = z_j + (p+1)/2 (second kind) or z_j (first kind), and b_j = alpha_j
+    or, with a ChainSpec, the chain-derived second shape, of which there
+    must be exactly k."""
+    seconds = [alpha for _, alpha in params.pairs]
+    if chain is not None:
+        seconds = param_chain(chain)
+        if len(seconds) != params.k:
+            raise ChainDomainError("chain rule output length does not match k")
+    half = (params.p + 1) / 2.0 if params.kind == "second" else 0.0
+    return [(zeta + half, b) for (zeta, _), b in zip(params.pairs, seconds)]
+
+
 def density_constant(params, chain=None):
     """The constant c with operator output = c * (a probability density).
 
@@ -453,15 +466,8 @@ def density_constant(params, chain=None):
     first kind: prod_j Gamma_p(z_j)/Gamma_p(z_j+a_j).  With a ChainSpec, the
     chain-derived second shapes replace alpha_j slot by slot.
     """
-    second_shapes = [alpha for _, alpha in params.pairs]
-    if chain is not None:
-        second_shapes = param_chain(chain)
-        if len(second_shapes) != params.k:
-            raise ChainDomainError("chain rule output length does not match k")
-    half = (params.p + 1) / 2.0
     total = 0.0
-    for (zeta, _), b in zip(params.pairs, second_shapes):
-        a = zeta + half if params.kind == "second" else zeta
+    for a, b in _beta_shapes(params, chain):
         total += ln_gamma_p(params.p, a) - ln_gamma_p(params.p, a + b)
     return math.exp(total)
 
@@ -470,22 +476,18 @@ def _density_mode_factors(params, f_sampler, stream, size, chain, antithetic):
     """The draws of density_mode_sample as factors: per slot (C, B, log|U|)
     with U = C B B' C', C the Cholesky factor of V and B the triangular
     factor of Y (second kind) or of Y^(-1) (first kind)."""
-    second_shapes = [alpha for _, alpha in params.pairs]
-    if chain is not None:
-        second_shapes = param_chain(chain)
-    half = (params.p + 1) / 2.0
+    shapes = _beta_shapes(params, chain)
     rng = stream.generator() if isinstance(stream, RngStream) else stream
     vs = f_sampler(rng, size)
     if len(vs) != params.k:
         raise DomainError(f"f_sampler returned {len(vs)} blocks, need {params.k}")
     out = []
-    for (zeta, _), b, v in zip(params.pairs, second_shapes, vs):
+    for (a, b), v in zip(shapes, vs):
         c = smallmat.cholesky(smallmat.entries(v))
+        k = matrix_beta_factor(BetaMatParams(params.p, a, b), rng, size, antithetic)
         if params.kind == "second":
-            k = matrix_beta_factor(BetaMatParams(params.p, zeta + half, b), rng, size, antithetic)
             out.append((c, k, smallmat.logdet(c) + smallmat.logdet(k)))
         else:
-            k = matrix_beta_factor(BetaMatParams(params.p, zeta, b), rng, size, antithetic)
             out.append((c, smallmat.inv_factor(k), smallmat.logdet(c) - smallmat.logdet(k)))
     return out
 

@@ -29,10 +29,10 @@ from .matrix_ops import (
 )
 from .quadrature import (
     CHUNK_ENTRIES,
-    QuadConfig,
     converge_doubling,
     jacobi_rule_01,
     legendre_rule_01,
+    quad_operator,
 )
 from .randmat import BetaMatParams, matrix_beta_factor, wishart_factor
 
@@ -122,37 +122,37 @@ class TransformReport:
 # closed-form gamma ratios
 
 
-def gamma_ratio_first(params, s):
-    """prod_j Gamma_p((p+1)/2+zeta_j-s_j) / Gamma_p((p+1)/2+alpha_j+zeta_j-s_j)."""
+def _gamma_ratio(params, s, kind):
+    """prod_j Gamma_p(a_j) / Gamma_p(a_j + alpha_j) with a_j the first-kind
+    argument (p+1)/2 + zeta_j - s_j or the second-kind zeta_j + s_j."""
     pt = _as_mpoint(s, params.k)
-    if params.kind != "first":
-        raise DomainError("params.kind must be 'first'")
+    if params.kind != kind:
+        raise DomainError(f"params.kind must be {kind!r}")
     pt.check(params)
     half = (params.p + 1) / 2.0
     total = 0.0
     for sj, (zeta, alpha) in zip(pt, params.pairs):
-        a = half + zeta - sj
+        a = half + zeta - sj if kind == "first" else zeta + sj
         total += ln_gamma_p(params.p, a) - ln_gamma_p(params.p, a + alpha)
     return math.exp(total)
 
 
+def gamma_ratio_first(params, s):
+    """prod_j Gamma_p((p+1)/2+zeta_j-s_j) / Gamma_p((p+1)/2+alpha_j+zeta_j-s_j)."""
+    return _gamma_ratio(params, s, "first")
+
+
 def gamma_ratio_second(params, s):
     """prod_j Gamma_p(zeta_j+s_j) / Gamma_p(alpha_j+zeta_j+s_j)."""
-    pt = _as_mpoint(s, params.k)
-    if params.kind != "second":
-        raise DomainError("params.kind must be 'second'")
-    pt.check(params)
-    total = 0.0
-    for sj, (zeta, alpha) in zip(pt, params.pairs):
-        total += ln_gamma_p(params.p, zeta + sj) - ln_gamma_p(params.p, zeta + sj + alpha)
-    return math.exp(total)
+    return _gamma_ratio(params, s, "second")
 
 
 # ---------------------------------------------------------------------------
 # numerical Mellin transform on (0, infinity)
 
 
-def mellin_numeric_1d(f, s, q=None, *, full_output=False):
+@quad_operator
+def mellin_numeric_1d(f, s, *, q):
     """int_0^inf x^(s-1) f(x) dx for a function with declared endpoint behaviour.
 
     The integral is split at 1; the head absorbs x^(s-1) and the declared
@@ -161,7 +161,6 @@ def mellin_numeric_1d(f, s, q=None, *, full_output=False):
     Jacobi substitution for power tails).
     """
     f = scalar_ops.as_test_function(f)
-    q = q or QuadConfig()
     s = float(s)
     order, res = f.split_power()
     if s + order <= 0.0:
@@ -172,6 +171,7 @@ def mellin_numeric_1d(f, s, q=None, *, full_output=False):
         raise TailDivergence("the transform needs a declared tail to reach infinity")
 
     kind = f.tail[0]
+    segments = []  # Gauss-Legendre pieces of the tail beyond 1
     if kind == "power":
         m = f.tail[1]
         if s >= m:
@@ -182,7 +182,12 @@ def mellin_numeric_1d(f, s, q=None, *, full_output=False):
         rate = f.tail[1]
         horizon = q.tail_cutoff or EXP_HORIZON
         n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
-    elif kind != "compact":
+        segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
+    elif kind == "compact":
+        _, lo, hi = f.tail
+        if hi > 1.0:
+            segments = [(max(1.0, lo), hi)]
+    else:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
 
     def estimate(n):
@@ -192,27 +197,14 @@ def mellin_numeric_1d(f, s, q=None, *, full_output=False):
             t2, w2 = jacobi_rule_01(n, 0.0, m - s - 1.0)
             x = 1.0 / t2
             total += float(w2 @ (np.asarray(f(x), dtype=float) * x**m))
-        elif kind == "exp":
+        for lo, hi in segments:
             t3, w3 = legendre_rule_01(n)
-            lo = 1.0
-            for _ in range(n_seg):
-                hi = 2.0 * lo
-                x = lo + (hi - lo) * t3
-                vals = np.asarray(f(x), dtype=float) * x ** (s - 1.0)
-                total += (hi - lo) * float(w3 @ vals)
-                lo = hi
-        else:
-            _, lo, hi = f.tail
-            if hi > 1.0:
-                a = max(1.0, lo)
-                t3, w3 = legendre_rule_01(n)
-                x = a + (hi - a) * t3
-                vals = np.asarray(f(x), dtype=float) * x ** (s - 1.0)
-                total += (hi - a) * float(w3 @ vals)
+            x = lo + (hi - lo) * t3
+            vals = np.asarray(f(x), dtype=float) * x ** (s - 1.0)
+            total += (hi - lo) * float(w3 @ vals)
         return total
 
-    val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
+    return converge_doubling(estimate, q)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +219,6 @@ def operator_curve_1d(kind, zeta, alpha, f, q=None):
     the result can be fed back into mellin_numeric_1d.
     """
     f = scalar_ops.as_test_function(f)
-    q = q or QuadConfig()
     if f.tail is None:
         raise TailDivergence("the operator curve needs an input with a declared tail")
     order, _ = f.split_power()
@@ -249,13 +240,7 @@ def operator_curve_1d(kind, zeta, alpha, f, q=None):
                 f"second-kind output is unbounded at zero: zeta = {zeta} <= "
                 f"zero order {order} of the input"
             )
-
-        def fn(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            return np.array(
-                [scalar_ops.kober_second(f, ui, zeta=zeta, alpha=alpha, q=q) for ui in u]
-            )
-
+        op = scalar_ops.kober_second
     elif kind == "first":
         # the output decays like u^-(zeta+1) once the input has moments of
         # order zeta; slower-decaying inputs cap the decay at their own rate
@@ -264,15 +249,13 @@ def operator_curve_1d(kind, zeta, alpha, f, q=None):
         if f.tail[0] == "power":
             d = min(d, f.tail[1])
         out_tail = ("power", d)
-
-        def fn(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            return np.array(
-                [scalar_ops.kober_first(f, ui, zeta=zeta, alpha=alpha, q=q) for ui in u]
-            )
-
+        op = scalar_ops.kober_first
     else:
         raise DomainError(f"kind must be 'first' or 'second', got {kind!r}")
+
+    def fn(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return np.array([op(f, ui, zeta=zeta, alpha=alpha, q=q) for ui in u])
 
     return scalar_ops.callback(fn, zero_order=out_zero, tail=out_tail)
 
@@ -300,13 +283,6 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
     if s + lam <= 0.0:
         raise DomainError(f"transform diverges at zero: s + zero order = {s + lam} <= 0")
 
-    # segment contributions fall off like exp(-rate u); beyond this horizon
-    # they are orders of magnitude below the quadrature target
-    horizon = 60.0
-    n_gl = max(16, (2 * n_outer) // 3)
-
-    xs = []
-    cs = []
     if kind == "second":
         if zeta < 1.0 + lam:
             raise DomainError(
@@ -317,73 +293,62 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
         # the inner residual carries t^-lam so that dividing f by x^lam at
         # the ratio node keeps the absorbed powers consistent
         c_in = w_in * t_in ** (-lam) / math.gamma(alpha)
-
-        u_h, w_h = jacobi_rule_01(n_outer, 0.0, s - 1.0 + lam)
-        xs.append(np.outer(u_h, 1.0 / t_in))
-        cs.append(np.outer(w_h, c_in))
-
-        t_gl, w_gl = legendre_rule_01(n_gl)
-        lo = 1.0
+        ratio = 1.0 / t_in
+        # segment contributions fall off like exp(-rate u); beyond this
+        # horizon they are orders of magnitude below the quadrature target
+        horizon = 60.0
         n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
-        for _ in range(n_seg):
-            hi = 2.0 * lo
-            u = lo + (hi - lo) * t_gl
-            w_u = (hi - lo) * w_gl * u ** (s - 1.0 + lam)
-            xs.append(np.outer(u, 1.0 / t_in))
-            cs.append(np.outer(w_u, c_in))
-            lo = hi
-        x = np.concatenate([a.ravel() for a in xs])
-        c = np.concatenate([a.ravel() for a in cs])
-        return x, c
+    else:
+        d = zeta + 1.0
+        if s >= d:
+            raise DomainError(
+                f"first-kind transform needs s < zeta + 1, got s = {s}, zeta = {zeta}"
+            )
+        if zeta + lam <= -1.0:
+            raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
+        t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta + lam)
+        c_in = w_in / math.gamma(alpha)
+        ratio = t_in
+        # the segments end at S = 2^n_seg, up to which the inner t-rule
+        # still resolves the decay scale 1/(rate u) of f(u t)
+        cap = 50.0 / rate
+        n_seg = max(0, math.ceil(math.log2(max(2.0 * cap, 1.0))))
 
-    d = zeta + 1.0
-    if s >= d:
-        raise DomainError(
-            f"first-kind transform needs s < zeta + 1, got s = {s}, zeta = {zeta}"
-        )
-    if zeta + lam <= -1.0:
-        raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
-    t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta + lam)
-    c_in = w_in / math.gamma(alpha)
-
-    # head: u in (0, 1), x = u t stays within the resolved scale of f
+    # head: u in (0, 1), x = u t or u / t stays within the resolved scale of f
     u_h, w_h = jacobi_rule_01(n_outer, 0.0, s - 1.0 + lam)
-    xs.append(np.outer(u_h, t_in))
-    cs.append(np.outer(w_h, c_in))
-
-    # mid range: octave segments up to S, where the inner t-rule still
-    # resolves the decay scale 1/(rate u) of f(u t)
-    cap = 50.0 / rate
-    n_mid = max(0, math.ceil(math.log2(max(2.0 * cap, 1.0))))
-    S = 2.0**n_mid
-    t_gl, w_gl = legendre_rule_01(n_gl)
+    xs = [np.outer(u_h, ratio)]
+    cs = [np.outer(w_h, c_in)]
+    # octave segments of Gauss-Legendre from u = 1
+    t_gl, w_gl = legendre_rule_01(max(16, (2 * n_outer) // 3))
     lo = 1.0
-    for _ in range(n_mid):
+    for _ in range(n_seg):
         hi = 2.0 * lo
         u = lo + (hi - lo) * t_gl
         w_u = (hi - lo) * w_gl * u ** (s - 1.0 + lam)
-        xs.append(np.outer(u, t_in))
+        xs.append(np.outer(u, ratio))
         cs.append(np.outer(w_u, c_in))
         lo = hi
 
-    # far range: u = S/tau > S >= 2 cap, inner integral over w = u t on a
-    # fixed grid (0, cap); beyond the cap the integrand is below the
-    # floating underflow of the exponential tail
-    w_nodes, w_w = jacobi_rule_01(n_inner, 0.0, zeta + lam)
-    w_far = cap * w_nodes
-    tau, w_tau = jacobi_rule_01(n_outer, 0.0, d - s - 1.0)
-    u_far = S / tau
-    # M contribution: S^s sum_i w_tau_i tau_i^-d g(u_i) with
-    # g(u) = u^(-zeta-alpha)/Gamma(a) int_0^cap (u-w)^(a-1) w^(zeta+lam) fhat(w) dw
-    pref = S**s * w_tau * tau ** (-d) * u_far ** (-zeta - alpha)
-    kern = (u_far[:, None] - w_far[None, :]) ** (alpha - 1.0)
-    c_far = (
-        cap ** (zeta + lam + 1.0)
-        / math.gamma(alpha)
-        * (pref[:, None] * kern * w_w[None, :]).sum(axis=0)
-    )
-    xs.append(w_far)
-    cs.append(c_far)
+    if kind == "first":
+        # far range: u = S/tau > S >= 2 cap, inner integral over w = u t on a
+        # fixed grid (0, cap); beyond the cap the integrand is below the
+        # floating underflow of the exponential tail
+        S = 2.0**n_seg
+        w_nodes, w_w = jacobi_rule_01(n_inner, 0.0, zeta + lam)
+        w_far = cap * w_nodes
+        tau, w_tau = jacobi_rule_01(n_outer, 0.0, d - s - 1.0)
+        u_far = S / tau
+        # M contribution: S^s sum_i w_tau_i tau_i^-d g(u_i) with
+        # g(u) = u^(-zeta-alpha)/Gamma(a) int_0^cap (u-w)^(a-1) w^(zeta+lam) fhat(w) dw
+        pref = S**s * w_tau * tau ** (-d) * u_far ** (-zeta - alpha)
+        kern = (u_far[:, None] - w_far[None, :]) ** (alpha - 1.0)
+        c_far = (
+            cap ** (zeta + lam + 1.0)
+            / math.gamma(alpha)
+            * (pref[:, None] * kern * w_w[None, :]).sum(axis=0)
+        )
+        xs.append(w_far)
+        cs.append(c_far)
 
     x = np.concatenate([a.ravel() for a in xs])
     c = np.concatenate([a.ravel() for a in cs])
@@ -597,7 +562,6 @@ def verify_transform(kind, params, f, s_grid, mc=None, quad_tol=1e-6, mc_rel_cap
     """
     if kind != params.kind:
         raise DomainError(f"kind {kind!r} does not match params.kind {params.kind!r}")
-    ratio_fn = gamma_ratio_first if kind == "first" else gamma_ratio_second
     reports = []
     for s in s_grid:
         pt = _as_mpoint(s, params.k)
@@ -608,27 +572,21 @@ def verify_transform(kind, params, f, s_grid, mc=None, quad_tol=1e-6, mc_rel_cap
                 raise DomainError(
                     f"family {f.family!r} has no closed-form transform to verify against"
                 )
-            rhs = ratio_fn(params, pt) * fstar
+            rhs = _gamma_ratio(params, pt, kind) * fstar
             if params.p == 1:
-                lhs, delta = mtransform_quadrature(params, f, pt)
-                ratio = lhs / rhs
-                ok = abs(ratio - 1.0) < quad_tol
-                reports.append(
-                    TransformReport(
-                        s=pt.s, lhs=lhs, se=delta, rhs=rhs, ratio=ratio,
-                        tol=quad_tol, passed=ok, status="pass" if ok else "fail",
-                    )
-                )
+                lhs, se = mtransform_quadrature(params, f, pt)
+                tol = quad_tol
+                ok = abs(lhs / rhs - 1.0) < quad_tol
             else:
                 est = mtransform_mc(params, f, pt, mc)
-                ratio = est.value / rhs
-                ok = abs(est.value - rhs) < 3.0 * est.se and abs(ratio - 1.0) < mc_rel_cap
-                reports.append(
-                    TransformReport(
-                        s=pt.s, lhs=est.value, se=est.se, rhs=rhs, ratio=ratio,
-                        tol=mc_rel_cap, passed=ok, status="pass" if ok else "fail",
-                    )
+                lhs, se, tol = est.value, est.se, mc_rel_cap
+                ok = abs(lhs - rhs) < 3.0 * se and abs(lhs / rhs - 1.0) < mc_rel_cap
+            reports.append(
+                TransformReport(
+                    s=pt.s, lhs=lhs, se=se, rhs=rhs, ratio=lhs / rhs,
+                    tol=tol, passed=ok, status="pass" if ok else "fail",
                 )
+            )
         except DomainError as exc:
             reports.append(
                 TransformReport(

@@ -6,7 +6,7 @@ estimates agree to the requested relative tolerance.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
@@ -32,6 +32,10 @@ class QuadConfig:
 class QuadInfo:
     nodes: int
     last_delta: float
+
+
+# an operator result that is exactly zero, reached without quadrature
+EXACT_ZERO = (0.0, QuadInfo(nodes=0, last_delta=0.0))
 
 
 @lru_cache(maxsize=512)
@@ -84,3 +88,31 @@ def converge_doubling(evaluate, q: QuadConfig):
         f"no convergence after {q.max_doublings} doublings "
         f"(final nodes {n}, last delta {delta:.3e})"
     )
+
+
+def _check_order(alpha):
+    if not alpha > 0:
+        raise DomainError(f"fractional order must be positive, got {alpha}")
+
+
+def quad_operator(op):
+    """The result contract of the quadrature-backed operators.
+
+    op returns (value, QuadInfo) and receives q as a QuadConfig.  The
+    decorated operator takes q=None for the default QuadConfig, checks that
+    every fractional order in alpha (a scalar, or one per variable) is
+    positive, and returns the value, or (value, QuadInfo) with
+    full_output=True; QuadInfo has nodes == 0 where the result is exactly
+    zero without quadrature.
+    """
+
+    @wraps(op)
+    def run(*args, q=None, full_output=False, **params):
+        for a in np.atleast_1d(params.get("alpha", ())):
+            _check_order(a)
+        val, info = op(*args, q=q or QuadConfig(), **params)
+        if full_output:
+            return val, info
+        return val
+
+    return run

@@ -13,8 +13,10 @@ import numpy as np
 
 from . import smallmat
 from .errors import ChainDomainError, DomainError
-from .matgamma import MAX_DIM
-from .spd import dirichlet_chain_inverse, sym_sqrt
+from .matgamma import MAX_DIM, ln_gamma_p
+from .spd import _chain_forward
+# the inverse chain map, under its sampler-side name
+from .spd import dirichlet_chain_inverse as inverse_dirichlet_chain  # noqa: F401
 
 DEFAULT_SEED = 0xE4DE17
 
@@ -146,8 +148,9 @@ def sample_dirichlet_chain(pairs, stream, size=1, antithetic=False):
 
     pairs is the list of derived BetaMatParams, one per chain slot (the
     parameter arithmetic lives in matrix_ops.param_chain; this sampler is
-    distribution rule agnostic).  Applies the congruence chain
-    X_j = S_{j-1}^{1/2} Y_j S_{j-1}^{1/2}, S_j = S_{j-1} - X_j, S_0 = I.
+    distribution rule agnostic).  The draws go through the congruence chain
+    of spd.dirichlet_chain_forward, X_j = S_{j-1}^{1/2} Y_j S_{j-1}^{1/2},
+    S_j = S_{j-1} - X_j, S_0 = I, one slot at a time.
     """
     if not pairs:
         raise ChainDomainError("chain needs at least one beta parameter pair")
@@ -155,21 +158,8 @@ def sample_dirichlet_chain(pairs, stream, size=1, antithetic=False):
     if any(prm.p != p for prm in pairs):
         raise ChainDomainError("all chain slots must share the dimension p")
     rng = _resolve_rng(stream)
-    eye = np.broadcast_to(np.eye(p), (size, p, p))
-    s = eye.copy()
-    xs = []
-    for prm in pairs:
-        y = sample_matrix_beta(prm, rng, size, antithetic)
-        root = sym_sqrt(s, check=False)
-        x = root @ y @ root
-        xs.append(x)
-        s = root @ (eye - y) @ root
-    return xs
-
-
-def inverse_dirichlet_chain(xs):
-    """Recover the independent coordinates Y_j from chain coordinates X_j."""
-    return dirichlet_chain_inverse(xs)
+    ys = (sample_matrix_beta(prm, rng, size, antithetic) for prm in pairs)
+    return _chain_forward(ys, (size, p, p))
 
 
 # closed-form determinant moments used as oracles for the samplers
@@ -177,8 +167,6 @@ def inverse_dirichlet_chain(xs):
 
 def wishart_det_moment(p, df, h):
     """E|X|^h = 2^(p h) Gamma_p(df/2 + h) / Gamma_p(df/2) for X ~ W_p(df, I)."""
-    from .matgamma import ln_gamma_p
-
     return float(
         np.exp(p * h * np.log(2.0) + ln_gamma_p(p, df / 2.0 + h) - ln_gamma_p(p, df / 2.0))
     )
@@ -186,8 +174,6 @@ def wishart_det_moment(p, df, h):
 
 def matrix_beta_det_moment(params, h):
     """E|X|^h for the type-1 matrix beta."""
-    from .matgamma import ln_gamma_p
-
     p, a, b = params.p, params.a, params.b
     return float(
         np.exp(

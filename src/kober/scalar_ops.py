@@ -12,6 +12,7 @@ of the integrand family at the singular endpoint is absorbed into the weight
 as well, so the remaining integrand is smooth.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -31,11 +32,14 @@ from .errors import (
 )
 from .quadrature import (
     CHUNK_ENTRIES,
+    EXACT_ZERO,
     QuadConfig,
+    _check_order,
     converge_doubling,
     jacobi_rule_01,
     laguerre_rule,
     legendre_rule_01,
+    quad_operator,
 )
 
 MAX_VARS = 3
@@ -283,11 +287,6 @@ def gauss_2f1(a, b, c, z):
 # one dimensional operators
 
 
-def _check_order(alpha):
-    if not alpha > 0:
-        raise DomainError(f"fractional order must be positive, got {alpha}")
-
-
 def _check_point(u, name="u"):
     u = float(u)
     if not u > 0:
@@ -304,72 +303,74 @@ def _ratio_weight_exponent(zeta, order):
     return b
 
 
-def kober_first(f, u, *, zeta, alpha, q=None, full_output=False):
-    """Kober fractional integral of the first kind,
-
-    g(u) = u^(-zeta-alpha)/Gamma(alpha) * int_0^u (u-v)^(alpha-1) v^zeta f(v) dv.
-    """
-    f = as_test_function(f)
-    q = q or QuadConfig()
-    _check_order(alpha)
-    u = _check_point(u)
-    if f.tail is not None and f.tail[0] == "compact":
-        val, info = _compact_first(f, u, zeta, alpha, q)
-    else:
-        order, res = f.split_power()
-        b = _ratio_weight_exponent(zeta, order)
-        scale = u**order / _gamma(alpha)
-
-        def estimate(n):
-            t, w = jacobi_rule_01(n, alpha - 1.0, b)
-            return scale * float(w @ np.asarray(res(u * t), dtype=float))
-
-        val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
-
-
-def _compact_first(f, u, zeta, alpha, q):
+def _window(f, x, alpha, power, pref, below, q):
+    """pref/Gamma(alpha) int |x-v|^(alpha-1) v^power f(v) dv over the part of
+    f's compact support [lo, hi] below x (below, the first kind) or above x
+    (the second kind and Weyl).  A Jacobi rule absorbs the kernel
+    singularity at v = x when x lies in the support, a Legendre rule covers
+    [lo, hi] when it does not, and a support wholly on the other side of x
+    gives EXACT_ZERO."""
     _, lo, hi = f.tail
-    if u <= lo:
-        return 0.0, None
-    pref = u ** (-zeta - alpha) / _gamma(alpha)
-    if u <= hi:
-        # the kernel singularity at v = u sits inside the support
-        width = u - lo
+    if (x <= lo) if below else (x >= hi):
+        return EXACT_ZERO
+    scale = pref / _gamma(alpha)
+    if lo <= x <= hi:
+        width = x - lo if below else hi - x
+        step = -width if below else width
 
         def estimate(n):
             t, w = jacobi_rule_01(n, 0.0, alpha - 1.0)
-            v = u - width * t
-            vals = np.asarray(f(v), dtype=float) * v**zeta
-            return pref * width**alpha * float(w @ vals)
+            v = x + step * t
+            vals = np.asarray(f(v), dtype=float) * v**power
+            return scale * width**alpha * float(w @ vals)
 
     else:
 
         def estimate(n):
             t, w = legendre_rule_01(n)
             v = lo + (hi - lo) * t
-            vals = np.asarray(f(v), dtype=float) * (u - v) ** (alpha - 1.0) * v**zeta
-            return pref * (hi - lo) * float(w @ vals)
+            vals = np.asarray(f(v), dtype=float) * np.abs(x - v) ** (alpha - 1.0) * v**power
+            return scale * (hi - lo) * float(w @ vals)
 
     return converge_doubling(estimate, q)
 
 
-def kober_second(f, u, *, zeta, alpha, q=None, full_output=False):
+@quad_operator
+def kober_first(f, u, *, zeta, alpha, q):
+    """Kober fractional integral of the first kind,
+
+    g(u) = u^(-zeta-alpha)/Gamma(alpha) * int_0^u (u-v)^(alpha-1) v^zeta f(v) dv.
+    """
+    f = as_test_function(f)
+    u = _check_point(u)
+    if f.tail is not None and f.tail[0] == "compact":
+        return _window(f, u, alpha, zeta, u ** (-zeta - alpha), True, q)
+    order, res = f.split_power()
+    b = _ratio_weight_exponent(zeta, order)
+    scale = u**order / _gamma(alpha)
+
+    def estimate(n):
+        t, w = jacobi_rule_01(n, alpha - 1.0, b)
+        return scale * float(w @ np.asarray(res(u * t), dtype=float))
+
+    return converge_doubling(estimate, q)
+
+
+@quad_operator
+def kober_second(f, u, *, zeta, alpha, q):
     """Kober fractional integral of the second kind,
 
     g(u) = u^zeta/Gamma(alpha) * int_u^inf v^(-zeta-alpha) (v-u)^(alpha-1) f(v) dv,
     computed through v = u/t on (0, 1).
     """
     f = as_test_function(f)
-    q = q or QuadConfig()
-    _check_order(alpha)
     u = _check_point(u)
     if f.tail is None:
         raise TailDivergence("kober_second needs a declared tail to integrate to infinity")
     kind = f.tail[0]
     if kind == "compact":
-        val, info = _compact_second(f, u, zeta, alpha, q)
-    elif kind == "power":
+        return _window(f, u, alpha, -zeta - alpha, u**zeta, False, q)
+    if kind == "power":
         m = f.tail[1]
         if zeta + m <= 0:
             raise TailDivergence(
@@ -384,7 +385,6 @@ def kober_second(f, u, *, zeta, alpha, q=None, full_output=False):
             vals = np.asarray(f(v), dtype=float) * (v / u) ** m
             return float(w @ vals) / _gamma(alpha)
 
-        val, info = converge_doubling(estimate, q)
     elif kind == "exp":
         # keep any integrable power of t in the weight; the decay of f(u/t)
         # makes the residual integrand vanish to all orders at t = 0
@@ -396,54 +396,23 @@ def kober_second(f, u, *, zeta, alpha, q=None, full_output=False):
             vals = np.asarray(f(u / t), dtype=float) * t**shift
             return float(w @ vals) / _gamma(alpha)
 
-        val, info = converge_doubling(estimate, q)
     else:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    return (val, info) if full_output else val
-
-
-def _compact_second(f, u, zeta, alpha, q):
-    _, lo, hi = f.tail
-    if u >= hi:
-        return 0.0, None
-    pref = u**zeta / _gamma(alpha)
-    if u >= lo:
-        width = hi - u
-
-        def estimate(n):
-            t, w = jacobi_rule_01(n, 0.0, alpha - 1.0)
-            v = u + width * t
-            vals = np.asarray(f(v), dtype=float) * v ** (-zeta - alpha)
-            return pref * width**alpha * float(w @ vals)
-
-    else:
-
-        def estimate(n):
-            t, w = legendre_rule_01(n)
-            v = lo + (hi - lo) * t
-            vals = (
-                np.asarray(f(v), dtype=float)
-                * v ** (-zeta - alpha)
-                * (v - u) ** (alpha - 1.0)
-            )
-            return pref * (hi - lo) * float(w @ vals)
-
     return converge_doubling(estimate, q)
 
 
-def riemann_liouville(f, x, *, alpha, a=0.0, q=None, full_output=False):
+@quad_operator
+def riemann_liouville(f, x, *, alpha, a=0.0, q):
     """Left-sided Riemann-Liouville integral of order alpha from terminal a,
 
     (1/Gamma(alpha)) int_a^x (x-v)^(alpha-1) f(v) dv.
     """
     f = as_test_function(f)
-    q = q or QuadConfig()
-    _check_order(alpha)
     x = float(x)
     if x < a:
         raise DomainError(f"riemann_liouville needs x >= a, got x={x}, a={a}")
     if x == a:
-        return (0.0, None) if full_output else 0.0
+        return EXACT_ZERO
     span = x - a
     if a == 0.0:
         order, res = f.split_power()
@@ -457,8 +426,7 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q=None, full_output=False):
         t, w = jacobi_rule_01(n, alpha - 1.0, order)
         return scale * float(w @ np.asarray(res(a + span * t), dtype=float))
 
-    val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
+    return converge_doubling(estimate, q)
 
 
 def _weyl_tail_exp(f, x, alpha, w0, rate, n):
@@ -488,12 +456,11 @@ def _weyl_tail_exp_segments(f, x, alpha, w0, rate, n):
     return total
 
 
-def weyl_right(f, x, *, alpha, q=None, full_output=False):
+@quad_operator
+def weyl_right(f, x, *, alpha, q):
     """Right-sided Weyl fractional integral,
     (1/Gamma(alpha)) int_x^inf (v-x)^(alpha-1) f(v) dv."""
     f = as_test_function(f)
-    q = q or QuadConfig()
-    _check_order(alpha)
     x = float(x)
     if x < 0:
         raise DomainError(f"weyl_right is evaluated at x >= 0, got {x}")
@@ -503,11 +470,7 @@ def weyl_right(f, x, *, alpha, q=None, full_output=False):
 
     kind = tail[0]
     if kind == "compact":
-        _, lo, hi = tail
-        if x >= hi:
-            return (0.0, None) if full_output else 0.0
-        val, info = _compact_weyl(f, x, alpha, q)
-        return (val, info) if full_output else val
+        return _window(f, x, alpha, 0.0, 1.0, False, q)
 
     if kind == "power":
         m = tail[1]
@@ -550,38 +513,16 @@ def weyl_right(f, x, *, alpha, q=None, full_output=False):
             )
         return (head + tail_val) / _gamma(alpha)
 
-    val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
-
-
-def _compact_weyl(f, x, alpha, q):
-    _, lo, hi = f.tail
-    if x >= lo:
-        width = hi - x
-
-        def estimate(n):
-            t, w = jacobi_rule_01(n, 0.0, alpha - 1.0)
-            v = x + width * t
-            return width**alpha * float(w @ np.asarray(f(v), dtype=float)) / _gamma(alpha)
-
-    else:
-
-        def estimate(n):
-            t, w = legendre_rule_01(n)
-            v = lo + (hi - lo) * t
-            vals = np.asarray(f(v), dtype=float) * (v - x) ** (alpha - 1.0)
-            return (hi - lo) * float(w @ vals) / _gamma(alpha)
-
     return converge_doubling(estimate, q)
 
 
-def weyl_left(f, x, *, alpha, q=None, full_output=False):
+@quad_operator
+def weyl_left(f, x, *, alpha, q):
     """Left-sided Weyl integral, (1/Gamma(alpha)) int_{-inf}^x (x-v)^(alpha-1) f(v) dv.
 
     Requires decay of f towards minus infinity, declared through left_tail.
     """
     f = as_test_function(f)
-    _check_order(alpha)
     x = float(x)
     if f.left_tail is None:
         raise TailDivergence("weyl_left needs a declared left tail")
@@ -590,10 +531,11 @@ def weyl_left(f, x, *, alpha, q=None, full_output=False):
         mirrored = exp_decay(rate=-f.rate, coeff=f.coeff * math.exp(-2.0 * f.rate * x))
     else:
         mirrored = callback(lambda v: f(2.0 * x - v), tail=f.left_tail)
-    return weyl_right(mirrored, x, alpha=alpha, q=q, full_output=full_output)
+    return weyl_right(mirrored, x, alpha=alpha, q=q, full_output=True)
 
 
-def saigo_first(f, u, *, zeta, alpha, beta, gamma, q=None, full_output=False):
+@quad_operator
+def saigo_first(f, u, *, zeta, alpha, beta, gamma, q):
     """Saigo-type operator of the first kind: the first-kind ratio convolution
     with weight t^(zeta-1) 2F1(alpha+beta, -gamma; alpha; 1-t) inside the kernel.
 
@@ -601,8 +543,6 @@ def saigo_first(f, u, *, zeta, alpha, beta, gamma, q=None, full_output=False):
     (beta = -alpha or gamma = 0).
     """
     f = as_test_function(f)
-    q = q or QuadConfig()
-    _check_order(alpha)
     u = _check_point(u)
     s = gamma - beta  # controls the 2F1 factor as its argument approaches 1
     if s <= 0.0 and not (
@@ -620,26 +560,40 @@ def saigo_first(f, u, *, zeta, alpha, beta, gamma, q=None, full_output=False):
         hyp = gauss_2f1(alpha + beta, -gamma, alpha, 1.0 - t)
         return scale * float(w @ (hyp * np.asarray(res(u * t), dtype=float)))
 
-    val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
+    return converge_doubling(estimate, q)
 
 
 # ---------------------------------------------------------------------------
 # fractional derivatives
 
 
-def _central_derivative(g, x, m, h):
-    """m-th derivative by central differences with one Richardson step."""
+def _central_derivative(g, x, m, q):
+    """The mixed partial of orders m of g at the point x (one entry per
+    variable) by tensor central differences, with one Richardson step per
+    variable, the first innermost.  The step of variable j is
+    (1 + |x_j|) rel_tol^(1/(m_j+4)), at most x_j/(m_j+2) so that every node
+    stays positive."""
+    h = [
+        min((1.0 + abs(xj)) * q.rel_tol ** (1.0 / (mj + 4)), xj / (mj + 2.0))
+        for xj, mj in zip(x, m)
+    ]
 
-    def plain(step):
-        vals = 0.0
-        for j in range(m + 1):
-            vals += (-1.0) ** j * math.comb(m, j) * g(x + (m / 2.0 - j) * step)
-        return vals / step**m
+    def plain(steps):
+        total = 0.0
+        for js in itertools.product(*(range(mj + 1) for mj in m)):
+            coef = math.prod((-1.0) ** j * math.comb(mj, j) for j, mj in zip(js, m))
+            pts = [xj + (mj / 2.0 - j) * s for xj, mj, j, s in zip(x, m, js, steps)]
+            total += coef * g(*pts)
+        return total / math.prod(s**mj for s, mj in zip(steps, m))
 
-    d1 = plain(h)
-    d2 = plain(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    def richardson(steps, axis):
+        if axis < 0:
+            return plain(steps)
+        half = list(steps)
+        half[axis] /= 2.0
+        return (4.0 * richardson(half, axis - 1) - richardson(steps, axis - 1)) / 3.0
+
+    return richardson(h, len(x) - 1)
 
 
 def frac_derivative(f, x, *, alpha, q=None):
@@ -672,13 +626,10 @@ def frac_derivative(f, x, *, alpha, q=None):
             f"callback must declare smooth_order >= {m} for a derivative of order {alpha}"
         )
 
-    h = (1.0 + abs(x)) * q.rel_tol ** (1.0 / (m + 4))
-    h = min(h, x / (m + 2.0))
-
     def g(t):
         return riemann_liouville(f, t, alpha=m - alpha, q=q)
 
-    return _central_derivative(g, x, m, h)
+    return _central_derivative(g, [x], [m], q)
 
 
 # ---------------------------------------------------------------------------
@@ -694,23 +645,22 @@ def _check_multivar(u, zeta, alpha):
         raise DomainError(f"number of variables must be 1..{MAX_VARS}, got {k}")
     if len(zeta) != k or len(alpha) != k:
         raise DomainError("zeta and alpha must match the number of evaluation points")
-    for a in alpha:
-        _check_order(a)
     for x in u:
         _check_point(x)
     return u, zeta, alpha, k
 
 
-def multivar_op(kind, f, u, *, zeta, alpha, q=None, full_output=False):
+@quad_operator
+def multivar_op(kind, f, u, *, zeta, alpha, q):
     """Multivariable Kober-type operator with a product kernel.
 
     kind is "first" or "second".  f is either a sequence of TestFunction1D
     (separable integrand) or a joint callable of k broadcastable arrays.
     A joint callable is evaluated in slabs along the first variable of at
     most CHUNK_ENTRIES (2^18) grid entries each, every slab contracted with
-    the weights before the next one is built.
+    the weights before the next one is built.  With full_output the info of
+    a separable integrand is the list of per-variable QuadInfo.
     """
-    q = q or QuadConfig()
     u, zeta, alpha, k = _check_multivar(u, zeta, alpha)
     if kind not in ("first", "second"):
         raise DomainError(f"kind must be 'first' or 'second', got {kind!r}")
@@ -726,30 +676,25 @@ def multivar_op(kind, f, u, *, zeta, alpha, q=None, full_output=False):
             op(fs[j], u[j], zeta=zeta[j], alpha=alpha[j], q=q, full_output=True)
             for j in range(k)
         ]
-        val = float(np.prod([p[0] for p in parts]))
-        info = [p[1] for p in parts]
-        return (val, info) if full_output else val
+        return float(np.prod([p[0] for p in parts])), [p[1] for p in parts]
 
     if not callable(f):
         raise DomainError("joint integrand must be callable")
+    # first kind v = u t with weight t^zeta, second kind v = u / t with t^(zeta-1)
+    bs = zeta if kind == "first" else [z - 1.0 for z in zeta]
+    for j, b in enumerate(bs):
+        if b <= -1.0:
+            raise TailDivergence(
+                f"zeta[{j}] must exceed -1 for a joint integrand"
+                if kind == "first"
+                else f"zeta[{j}] must be positive for a joint second-kind integrand"
+            )
 
     def estimate(n):
         axes = []
         for j in range(k):
-            if kind == "first":
-                b = zeta[j]
-                if b <= -1.0:
-                    raise TailDivergence(f"zeta[{j}] must exceed -1 for a joint integrand")
-                t, w = jacobi_rule_01(n, alpha[j] - 1.0, b)
-                v = u[j] * t
-            else:
-                b = zeta[j] - 1.0
-                if b <= -1.0:
-                    raise TailDivergence(
-                        f"zeta[{j}] must be positive for a joint second-kind integrand"
-                    )
-                t, w = jacobi_rule_01(n, alpha[j] - 1.0, b)
-                v = u[j] / t
+            t, w = jacobi_rule_01(n, alpha[j] - 1.0, bs[j])
+            v = u[j] * t if kind == "first" else u[j] / t
             axes.append((v, w / _gamma(alpha[j])))
         (v0, w0), rest = axes[0], axes[1:]
         others = np.meshgrid(v0[:1], *[v for v, _ in rest], indexing="ij", sparse=True)[1:]
@@ -766,8 +711,7 @@ def multivar_op(kind, f, u, *, zeta, alpha, q=None, full_output=False):
             total += float(w0[i : i + rows] @ vals)
         return total
 
-    val, info = converge_doubling(estimate, q)
-    return (val, info) if full_output else val
+    return converge_doubling(estimate, q)
 
 
 def multivar_frac_derivative(f, x, *, alpha, q=None):
@@ -801,26 +745,4 @@ def multivar_frac_derivative(f, x, *, alpha, q=None):
         val = multivar_op("first", f, (t1, t2), zeta=(0.0, 0.0), alpha=beta, q=q)
         return val * t1 ** beta[0] * t2 ** beta[1]
 
-    h = [
-        min((1.0 + abs(x[j])) * q.rel_tol ** (1.0 / (m[j] + 4)), x[j] / (m[j] + 2.0))
-        for j in range(k)
-    ]
-
-    def mixed(step1, step2):
-        total = 0.0
-        for j1 in range(m[0] + 1):
-            c1 = (-1.0) ** j1 * math.comb(m[0], j1)
-            t1 = x[0] + (m[0] / 2.0 - j1) * step1
-            for j2 in range(m[1] + 1):
-                c2 = (-1.0) ** j2 * math.comb(m[1], j2)
-                t2 = x[1] + (m[1] / 2.0 - j2) * step2
-                total += c1 * c2 * rl2(t1, t2)
-        return total / (step1 ** m[0] * step2 ** m[1])
-
-    e11 = mixed(h[0], h[1])
-    e21 = mixed(h[0] / 2.0, h[1])
-    e12 = mixed(h[0], h[1] / 2.0)
-    e22 = mixed(h[0] / 2.0, h[1] / 2.0)
-    first = (4.0 * e21 - e11) / 3.0
-    second = (4.0 * e22 - e12) / 3.0
-    return (4.0 * second - first) / 3.0
+    return _central_derivative(rl2, x, m, q)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange, SingularMatrix
 from .matgamma import MAX_DIM
 
@@ -149,16 +150,24 @@ def dirichlet_chain_forward(ys):
     reduces to stick breaking x_j = y_j prod_{i<j}(1 - y_i).
     """
     ys = [require_symmetric(y) for y in ys]
-    p = ys[0].shape[-1]
-    eye = np.broadcast_to(np.eye(p), ys[0].shape)
+    return _chain_forward(ys, ys[0].shape)
+
+
+def _chain_forward(ys, shape):
+    """The congruence loop of dirichlet_chain_forward over an iterable of
+    symmetric stacks of the given shape, taken as they come; OutOfRange once
+    a complement S_j has a Cholesky pivot that is not positive."""
+    eye = np.broadcast_to(np.eye(shape[-1]), shape)
     xs = []
     s = eye.copy()
     for y in ys:
         root = sym_sqrt(s, check=False)
         xs.append(root @ y @ root)
         s = root @ (eye - y) @ root
-        if np.linalg.eigvalsh(s).min() <= 0.0:
-            raise OutOfRange("chain coordinate reaches the boundary of O < y < I")
+        try:
+            smallmat.cholesky(smallmat.entries(s))
+        except NotPositiveDefinite:
+            raise OutOfRange("chain coordinate reaches the boundary of O < y < I") from None
     return xs
 
 
@@ -173,22 +182,18 @@ def dirichlet_chain_inverse(xs):
     p = xs[0].shape[-1]
     remainder = np.broadcast_to(np.eye(p), xs[0].shape).copy()
     ys = []
-    for j, x in enumerate(xs):
-        w = np.linalg.eigvalsh(remainder)
-        if w.min() <= 1e-12:
-            raise OutOfRange(
-                f"partial sum x_1 + ... + x_{j} reaches the boundary "
-                f"(complement min eigenvalue {w.min():.3e})"
-            )
+    for j, x in enumerate(xs, start=1):
         r = sym_inv_sqrt(remainder, check=False)
         ys.append(r @ x @ np.swapaxes(r, -1, -2))
         remainder = remainder - x
-    w = np.linalg.eigvalsh(remainder)
-    if w.min() <= 1e-12:
-        raise OutOfRange(
-            f"total sum of chain coordinates reaches the boundary "
-            f"(complement min eigenvalue {w.min():.3e})"
-        )
+        w = np.linalg.eigvalsh(remainder)
+        if w.min() <= 1e-12:
+            what = f"partial sum x_1 + ... + x_{j}"
+            if j == len(xs):
+                what = "total sum of chain coordinates"
+            raise OutOfRange(
+                f"{what} reaches the boundary (complement min eigenvalue {w.min():.3e})"
+            )
     return ys
 
 

@@ -8,6 +8,7 @@ case carries the identifier of the law it exercises, the expected and
 observed values, the applicable tolerance, and a pass flag.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .mtransform import (
 from .randmat import (
     BetaMatParams,
     RngStream,
-    inverse_dirichlet_chain,
     matrix_beta_det_moment,
     sample_dirichlet_chain,
     sample_matrix_beta,
@@ -38,6 +38,7 @@ from .randmat import (
 )
 from .spd import (
     dirichlet_chain_forward,
+    dirichlet_chain_inverse,
     fd_jacobian_det,
     jac_congruence,
     jac_dirichlet_chain,
@@ -79,18 +80,43 @@ def _close_case(cid, ref, expected, got, tol, se=None):
     return CaseResult(cid, ref, expected, got, se, tol, passed)
 
 
-def _mc_case(cid, ref, expected, est, n_se=3.0):
-    expected = float(expected)
-    passed = abs(est.value - expected) <= n_se * est.se
-    return CaseResult(cid, ref, expected, float(est.value), float(est.se), n_se, bool(passed))
+def _mc_case(cid, ref, expected, got, se):
+    """A Monte Carlo value against expected, passing within 3 standard errors."""
+    expected, got, se = float(expected), float(got), float(se)
+    return CaseResult(cid, ref, expected, got, se, 3.0, abs(got - expected) <= 3.0 * se)
+
+
+def _mean_case(cid, ref, want, vals):
+    """The sample mean of vals against want."""
+    return _mc_case(cid, ref, want, vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+# name -> suite(seed, p=None, n_samples=None) -> SuiteResult, in run order
+SUITES = {}
+
+
+def _suite(name):
+    """Register cases(seed, p, n_samples) -> [CaseResult] as the suite name,
+    timed into a SuiteResult."""
+
+    def register(cases):
+        def suite(seed, p=None, n_samples=None):
+            t0 = time.perf_counter()
+            found = cases(seed, p, n_samples)
+            return SuiteResult(name, seed, found, (time.perf_counter() - t0) * 1e3)
+
+        SUITES[name] = suite
+        return suite
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # scalar closed forms
 
 
-def suite_scalar_closed_forms(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
+@_suite("scalar-closed-forms")
+def suite_scalar_closed_forms(seed, p, n_samples):
     cases = []
     tol = 1e-8
 
@@ -149,9 +175,7 @@ def suite_scalar_closed_forms(seed, p=None, n_samples=None):
         )
     )
 
-    return SuiteResult(
-        "scalar-closed-forms", seed, cases, (time.perf_counter() - t0) * 1e3
-    )
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +187,8 @@ def _random_spd(rng, p, scale=1.0):
     return scale * (a @ a.T + 0.1 * np.eye(p))
 
 
-def suite_jacobians(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
+@_suite("jacobians")
+def suite_jacobians(seed, p, n_samples):
     cases = []
     tol = 1e-3
     ps = [p] if p else [1, 2]
@@ -221,15 +245,15 @@ def suite_jacobians(seed, p=None, n_samples=None):
                     )
                 )
 
-    return SuiteResult("jacobians", seed, cases, (time.perf_counter() - t0) * 1e3)
+    return cases
 
 
 # ---------------------------------------------------------------------------
 # moment formulas of the random matrix layer
 
 
-def suite_beta_moments(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
+@_suite("beta-moments")
+def suite_beta_moments(seed, p, n_samples):
     n = int(n_samples or 100000)
     cases = []
     ps = [p] if p else [1, 2]
@@ -237,39 +261,33 @@ def suite_beta_moments(seed, p=None, n_samples=None):
     for pp in ps:
         df = 2.0 * pp + 1.5
         for h in (1.0, 1.7):
-            want = float(wishart_det_moment(pp, df, h))
             w = sample_wishart(pp, df, RngStream(seed, 10 + pp), size=n)
-            vals = np.exp(h * np.linalg.slogdet(w)[1])
-            est_se = float(vals.std(ddof=1)) / math.sqrt(n)
-            got = float(vals.mean())
             cases.append(
-                CaseResult(
+                _mean_case(
                     f"wishart-det-p{pp}-h{h}",
                     "wishart-determinant-moment",
-                    want, got, est_se, 3.0, abs(got - want) <= 3.0 * est_se,
+                    wishart_det_moment(pp, df, h),
+                    np.exp(h * np.linalg.slogdet(w)[1]),
                 )
             )
 
         prm = BetaMatParams(pp, 1.2 + 0.5 * pp, 2.0)
         for h in (1.0, 2.3):
-            want = float(matrix_beta_det_moment(prm, h))
             x = sample_matrix_beta(prm, RngStream(seed, 20 + pp), size=n)
-            vals = np.exp(h * np.linalg.slogdet(x)[1])
-            est_se = float(vals.std(ddof=1)) / math.sqrt(n)
-            got = float(vals.mean())
             cases.append(
-                CaseResult(
+                _mean_case(
                     f"beta-det-p{pp}-h{h}",
                     "type1-beta-determinant-moment",
-                    want, got, est_se, 3.0, abs(got - want) <= 3.0 * est_se,
+                    matrix_beta_det_moment(prm, h),
+                    np.exp(h * np.linalg.slogdet(x)[1]),
                 )
             )
 
-    return SuiteResult("beta-moments", seed, cases, (time.perf_counter() - t0) * 1e3)
+    return cases
 
 
-def suite_dirichlet_chain(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
+@_suite("dirichlet-chain")
+def suite_dirichlet_chain(seed, p, n_samples):
     n = int(n_samples or 100000)
     pp = p or 2
     cases = []
@@ -280,7 +298,7 @@ def suite_dirichlet_chain(seed, p=None, n_samples=None):
         for j, prm in enumerate(pairs)
     ]
     xs = dirichlet_chain_forward(ys)
-    back = inverse_dirichlet_chain(xs)
+    back = dirichlet_chain_inverse(xs)
     err = max(float(np.abs(b - y).max()) for b, y in zip(back, ys))
     cases.append(
         CaseResult(
@@ -292,21 +310,18 @@ def suite_dirichlet_chain(seed, p=None, n_samples=None):
 
     pairs2 = [BetaMatParams(pp, 2.5, 4.0), BetaMatParams(pp, 2.0, 2.5)]
     xs2 = sample_dirichlet_chain(pairs2, RngStream(seed, 40), size=n)
-    ys2 = inverse_dirichlet_chain(xs2)
+    ys2 = dirichlet_chain_inverse(xs2)
     for j, prm in enumerate(pairs2):
-        want = float(matrix_beta_det_moment(prm, 1.0))
-        vals = np.exp(np.linalg.slogdet(ys2[j])[1])
-        est_se = float(vals.std(ddof=1)) / math.sqrt(n)
-        got = float(vals.mean())
         cases.append(
-            CaseResult(
+            _mean_case(
                 f"chain-recovered-beta-p{pp}-slot{j}",
                 "chain-component-beta-law",
-                want, got, est_se, 3.0, abs(got - want) <= 3.0 * est_se,
+                matrix_beta_det_moment(prm, 1.0),
+                np.exp(np.linalg.slogdet(ys2[j])[1]),
             )
         )
 
-    return SuiteResult("dirichlet-chain", seed, cases, (time.perf_counter() - t0) * 1e3)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +336,7 @@ def _report_case(cid, ref, rep):
 
 
 def _transform_cases(kind, seed, p, n_samples):
+    """The cases of the mtransform-first and mtransform-second suites."""
     ref = f"{kind}-kind-transform-factorization"
     cases = []
     if p in (None, 1):
@@ -352,20 +368,12 @@ def _transform_cases(kind, seed, p, n_samples):
     return cases
 
 
-def suite_mtransform_first(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
-    cases = _transform_cases("first", seed, p, n_samples)
-    return SuiteResult("mtransform-first", seed, cases, (time.perf_counter() - t0) * 1e3)
+_suite("mtransform-first")(functools.partial(_transform_cases, "first"))
+_suite("mtransform-second")(functools.partial(_transform_cases, "second"))
 
 
-def suite_mtransform_second(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
-    cases = _transform_cases("second", seed, p, n_samples)
-    return SuiteResult("mtransform-second", seed, cases, (time.perf_counter() - t0) * 1e3)
-
-
-def suite_density_identity(seed, p=None, n_samples=None):
-    t0 = time.perf_counter()
+@_suite("density-identity")
+def suite_density_identity(seed, p, n_samples):
     pp = p or 2
     n = int(n_samples or 200000)
     cases = []
@@ -377,33 +385,24 @@ def suite_density_identity(seed, p=None, n_samples=None):
         b = mtransform_mc_operator(
             prm, f, s, MCConfig(n_samples=n, seed=seed + 1, n_streams=8)
         )
-        se = math.hypot(a.se, b.se)
         cases.append(
-            CaseResult(
+            _mc_case(
                 f"density-vs-operator-p{pp}-s{s}",
                 "density-normalization-identity",
-                float(b.value), float(a.value), se, 3.0,
-                bool(abs(a.value - b.value) <= 3.0 * se),
+                b.value, a.value, math.hypot(a.se, b.se),
             )
         )
 
     if pp == 1:
         want = gamma_ratio_second(prm, 1.6) * f.mellin((1.6,))
         a = mtransform_mc(prm, f, 1.6, MCConfig(n_samples=n, seed=seed, n_streams=8))
-        cases.append(_mc_case("density-vs-closed-p1-s1.6", "density-normalization-identity", want, a))
+        cases.append(
+            _mc_case(
+                "density-vs-closed-p1-s1.6", "density-normalization-identity", want, a.value, a.se
+            )
+        )
 
-    return SuiteResult("density-identity", seed, cases, (time.perf_counter() - t0) * 1e3)
-
-
-SUITES = {
-    "scalar-closed-forms": suite_scalar_closed_forms,
-    "jacobians": suite_jacobians,
-    "beta-moments": suite_beta_moments,
-    "dirichlet-chain": suite_dirichlet_chain,
-    "mtransform-first": suite_mtransform_first,
-    "mtransform-second": suite_mtransform_second,
-    "density-identity": suite_density_identity,
-}
+    return cases
 
 
 def run_suite(name, seed, p=None, n_samples=None):

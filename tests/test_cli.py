@@ -58,6 +58,17 @@ def test_eval_saigo_whole_gap_closed_form(capsys):
     assert math.isclose(row["value"], expect, rel_tol=1e-10)
 
 
+def test_eval_riemann_liouville_at_the_terminal_is_exact_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "eval", "--op", "riemann-liouville", "--f", "exp",
+        "--alpha", "0.5", "--x", "0",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["value"] == 0
+    assert row["err"] == 0
+
+
 def test_eval_missing_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--op", "kober1", "--f", "power:2", "--u", "1")
     assert code == 2

@@ -305,6 +305,17 @@ def test_density_constant_with_chain_shapes():
     np.testing.assert_allclose(got, expect, rtol=1e-13)
 
 
+def test_density_mode_sample_rejects_chain_of_other_length():
+    from kober.errors import ChainDomainError
+
+    # four gamma_3_5 zeta values give three second shapes, one more than k
+    params = MatrixOpParams("second", 2, 2, ((1.8, 0.9), (1.5, 0.8)))
+    chain = ChainSpec("gamma_3_5", zeta=(1.8, 1.5, 1.2, 0.7))
+    f = exp_neg_trace(2, 2)
+    with pytest.raises(ChainDomainError):
+        density_mode_sample(params, f.sampler(), RngStream(3), 1000, chain=chain)
+
+
 def test_density_mode_sample_second_kind_moments():
     # |U| = |V||Y| with independent factors
     params = MatrixOpParams("second", 2, 1, ((2.0, 1.5),))

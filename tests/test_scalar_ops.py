@@ -166,6 +166,31 @@ def test_second_kind_compact_support_window():
     assert kober_second(box, 2.0, zeta=2.0, alpha=0.5) == 0.0
 
 
+def test_weyl_right_compact_support_window():
+    box = callback(
+        lambda v: np.where((v >= 0.5) & (v <= 1.5), np.sin(v), 0.0),
+        tail=("compact", 0.5, 1.5),
+    )
+    for x, lo in ((1.0, 1.0), (0.2, 0.5)):
+        expect = float(
+            mp.quad(lambda t: (t - x) ** -0.3 * mp.sin(t), [lo, 1.5]) / mp.gamma(0.7)
+        )
+        np.testing.assert_allclose(weyl_right(box, x, alpha=0.7), expect, rtol=1e-8)
+
+
+def test_compact_support_zero_exits_report_quad_info():
+    from kober.quadrature import QuadInfo
+
+    # a support wholly on the far side of the point gives an exact zero
+    # without quadrature, reported with the same (value, QuadInfo) contract
+    box = callback(lambda v: np.ones_like(v), tail=("compact", 0.5, 1.5))
+    zero = (0.0, QuadInfo(nodes=0, last_delta=0.0))
+    assert kober_first(box, 0.3, zeta=1.0, alpha=0.5, full_output=True) == zero
+    assert kober_second(box, 2.0, zeta=1.0, alpha=0.5, full_output=True) == zero
+    assert weyl_right(box, 1.5, alpha=0.7, full_output=True) == zero
+    assert riemann_liouville(box, 0.0, alpha=0.7, full_output=True) == zero
+
+
 def test_second_kind_requires_declared_tail():
     with pytest.raises(TailDivergence):
         kober_second(callback(lambda v: 1.0 / (1.0 + v)), 1.0, zeta=1.0, alpha=0.5)
