@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, RatioOverflow
 
@@ -33,7 +32,7 @@ def ln_gamma_p(p, alpha):
         )
     out = 0.25 * p * (p - 1) * math.log(math.pi)
     for i in range(p):
-        out += gammaln(alpha - 0.5 * i)
+        out += math.lgamma(alpha - 0.5 * i)
     return out
 
 

@@ -158,20 +158,18 @@ def mellin_numeric_1d(f, s, *, q):
     The integral is split at 1; the head absorbs x^(s-1) and the declared
     power of f at zero into a Jacobi weight, the tail uses the declared decay
     (geometric Gauss-Legendre segments for exponential tails, a reciprocal
-    Jacobi substitution for power tails).
+    Jacobi substitution for power tails).  A compact support [lo, hi] bounds
+    the head at hi, or, for lo > 0, is one Gauss-Legendre segment.
     """
     f = scalar_ops.as_test_function(f)
     s = float(s)
     order, res = f.split_power()
-    if s + order <= 0.0:
-        raise DomainError(
-            f"transform diverges at zero: s + zero order = {s + order} <= 0"
-        )
     if f.tail is None:
         raise TailDivergence("the transform needs a declared tail to reach infinity")
 
     kind = f.tail[0]
-    segments = []  # Gauss-Legendre pieces of the tail beyond 1
+    head = 1.0  # the Jacobi head rule covers (0, head)
+    segments = []  # Gauss-Legendre pieces beyond the head
     if kind == "power":
         m = f.tail[1]
         if s >= m:
@@ -184,15 +182,28 @@ def mellin_numeric_1d(f, s, *, q):
         n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
         segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
     elif kind == "compact":
+        # no rule may cross a jump of f at either end of its support
         _, lo, hi = f.tail
-        if hi > 1.0:
-            segments = [(max(1.0, lo), hi)]
+        if lo > 0.0:
+            head = 0.0
+            segments = [(lo, hi)]
+        else:
+            head = min(1.0, hi)
+            if hi > 1.0:
+                segments = [(1.0, hi)]
     else:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
+    if head and s + order <= 0.0:
+        raise DomainError(
+            f"transform diverges at zero: s + zero order = {s + order} <= 0"
+        )
 
     def estimate(n):
-        t, w = jacobi_rule_01(n, 0.0, s - 1.0 + order)
-        total = float(w @ np.asarray(res(t), dtype=float))
+        total = 0.0
+        if head:
+            t, w = jacobi_rule_01(n, 0.0, s - 1.0 + order)
+            vals = np.asarray(res(head * t), dtype=float)
+            total = head ** (s + order) * float(w @ vals)
         if kind == "power":
             t2, w2 = jacobi_rule_01(n, 0.0, m - s - 1.0)
             x = 1.0 / t2

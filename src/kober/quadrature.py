@@ -7,9 +7,9 @@ estimates agree to the requested relative tolerance.
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from importlib import import_module
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from .errors import DomainError, QuadratureNotConverged
 
@@ -38,11 +38,32 @@ class QuadInfo:
 EXACT_ZERO = (0.0, QuadInfo(nodes=0, last_delta=0.0))
 
 
+def scipy_special(name):
+    """scipy.special.<name>, imported on the first call: `import kober` leaves
+    scipy unloaded, so commands that build no rule and call no special
+    function start without it."""
+    fn = None
+
+    def call(*args):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(import_module("scipy.special"), name)
+        return fn(*args)
+
+    return call
+
+
+# module-level so that laguerre_rule's builds can be timed under this name
+roots_laguerre = scipy_special("roots_laguerre")
+
+
 @lru_cache(maxsize=512)
 def jacobi_rule_01(n, a, b):
     """Nodes and weights for int_0^1 (1-t)^a t^b f(t) dt; exponents > -1."""
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi weight exponents must exceed -1, got ({a}, {b})")
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, a, b)
     return _frozen(0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0))
 
@@ -50,6 +71,8 @@ def jacobi_rule_01(n, a, b):
 @lru_cache(maxsize=64)
 def legendre_rule_01(n):
     """Nodes and weights for int_0^1 f(t) dt."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 

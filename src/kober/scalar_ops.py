@@ -18,11 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import gamma as _gamma
-from scipy.special import rgamma as _rgamma
-# not called here: bench/tracing.py times Gauss-Laguerre builds under this name
-from scipy.special import roots_laguerre  # noqa: F401
 
 from .errors import (
     DomainError,
@@ -40,9 +35,16 @@ from .quadrature import (
     laguerre_rule,
     legendre_rule_01,
     quad_operator,
+    roots_laguerre,  # noqa: F401  (re-exported: Gauss-Laguerre builds are timed under this name)
+    scipy_special,
 )
 
 MAX_VARS = 3
+
+# scipy's ufuncs, not math.gamma: the output bits stay those of scipy
+_gamma = scipy_special("gamma")
+_rgamma = scipy_special("rgamma")
+_digamma = scipy_special("digamma")
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,18 @@ def test_mellin_indicator():
     np.testing.assert_allclose(mellin_numeric_1d(ind, 2.0), 0.5, rtol=1e-12)
 
 
+def test_mellin_compact_support_away_from_the_unit_point():
+    # no rule may cross the jump at either end of the support
+    inner = callback(
+        lambda v: np.where((v > 0.5) & (v < 2.0), v**0.3, 0.0), tail=("compact", 0.5, 2.0)
+    )
+    np.testing.assert_allclose(
+        mellin_numeric_1d(inner, 0.5), (2.0**0.8 - 0.5**0.8) / 0.8, rtol=1e-11
+    )
+    low = callback(lambda v: np.where(v < 0.5, 1.0, 0.0), tail=("compact", 0.0, 0.5))
+    np.testing.assert_allclose(mellin_numeric_1d(low, 1.5), 0.5**1.5 / 1.5, rtol=1e-11)
+
+
 def test_mellin_power_decay_tail():
     # int x^(s-1) (1+x)^-3 dx = B(s, 3-s)
     f = callback(lambda v: (1.0 + np.asarray(v)) ** -3.0, tail=("power", 3.0))
