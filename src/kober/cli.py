@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,38 +100,42 @@ def render_csv(header, rows):
     return buf.getvalue()
 
 
+def _payload(cfg, header, rows, doc, key="rows"):
+    """The rows as CSV, or doc as JSON with the rows as objects under key."""
+    if cfg.format == "csv":
+        return render_csv(header, rows)
+    return render_json({**doc, key: [dict(zip(header, row)) for row in rows]}) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged settings for one invocation: flags over config file over
-    defaults; the seed falls back to KOBER_SEED before the built-in."""
+FORMATS = ("json", "csv")
 
-    command: str
-    op: str = None
-    suite: str = None
-    f: str = None
-    p: int = None
-    k: int = None
-    zeta: tuple = None
-    alpha: tuple = None
-    beta: float = None
-    gamma: float = None
-    u: tuple = None
-    x: tuple = None
-    s: tuple = None
-    n_samples: int = None
-    seed: int = DEFAULT_SEED
-    fmt: str = "json"
-    out: str = None
-
-
-_LIST_KEYS = {"zeta", "alpha", "u", "x", "s"}
-_INT_KEYS = {"p", "k", "n_samples", "seed"}
-_FLOAT_KEYS = {"beta", "gamma"}
-_STR_KEYS = {"op", "suite", "f", "format", "out"}
+# one row per setting: (name, type, repeats, help).  The rows build the
+# flags (--name, with "_" as "-"), type the keys of a config file, and give
+# the names that resolve_config merges.  A tuple type lists the choices of a
+# string setting.
+FLAGS = (
+    ("op", str, False, "operator or transform name"),
+    ("suite", str, False, "verification suite name"),
+    ("f", str, False, "test function, e.g. power:2, exp, det-power:1.5"),
+    ("p", int, False, "matrix dimension"),
+    ("k", int, False, "number of operator slots"),
+    ("zeta", float, True, "index parameter (repeatable)"),
+    ("alpha", float, True, "order (repeatable)"),
+    ("beta", float, False, "second order parameter"),
+    ("gamma", float, False, "hypergeometric parameter"),
+    ("u", float, True, "scale point (repeatable)"),
+    ("x", float, True, "line point (repeatable)"),
+    ("s", float, True, "transform point (repeatable)"),
+    ("n_samples", int, False, "Monte Carlo sample count"),
+    ("seed", int, False, "random seed"),
+    ("format", FORMATS, False, "output format"),
+    ("out", str, False, "write output to this file instead of stdout"),
+)
+_TYPES = {name: (str if isinstance(t, tuple) else t, rep) for name, t, rep, _ in FLAGS}
 
 
 def read_config_file(path):
@@ -151,69 +154,34 @@ def read_config_file(path):
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
+        if key not in _TYPES:
+            raise CliError(f"{path}:{line_no}: unknown key '{key}'")
+        typ, repeats = _TYPES[key]
         try:
-            if key in _LIST_KEYS:
-                opts[key] = tuple(float(v) for v in val.replace(",", " ").split())
-            elif key in _INT_KEYS:
-                opts[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                opts[key] = float(val)
-            elif key in _STR_KEYS:
-                opts["fmt" if key == "format" else key] = val
-            else:
-                raise CliError(f"{path}:{line_no}: unknown key '{key}'")
+            opts[key] = [typ(v) for v in val.replace(",", " ").split()] if repeats else typ(val)
         except ValueError:
             raise CliError(f"{path}:{line_no}: bad value for '{key}': {val!r}")
     return opts
 
 
 def resolve_config(args):
+    """Fill each setting that no flag gave from the config file; the seed
+    then falls back to KOBER_SEED and the built-in default, the format to
+    csv for table and json otherwise."""
     file_opts = read_config_file(args.config) if args.config else {}
-
-    def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return file_opts.get(name)
-
-    seed = pick("seed")
-    if seed is None:
-        env = os.environ.get("KOBER_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise CliError(f"KOBER_SEED must be an integer, got {env!r}")
-        else:
-            seed = DEFAULT_SEED
-
-    fmt = pick("fmt") or ("csv" if args.command == "table" else "json")
-    if fmt not in ("json", "csv"):
-        raise CliError(f"unknown format '{fmt}'")
-
-    def tup(name):
-        v = pick(name)
-        return tuple(v) if v is not None else None
-
-    return RunConfig(
-        command=args.command,
-        op=pick("op"),
-        suite=pick("suite"),
-        f=pick("f"),
-        p=pick("p"),
-        k=pick("k"),
-        zeta=tup("zeta"),
-        alpha=tup("alpha"),
-        beta=pick("beta"),
-        gamma=pick("gamma"),
-        u=tup("u"),
-        x=tup("x"),
-        s=tup("s"),
-        n_samples=pick("n_samples"),
-        seed=int(seed),
-        fmt=fmt,
-        out=pick("out"),
-    )
+    for name, *_ in FLAGS:
+        if getattr(args, name) is None:
+            setattr(args, name, file_opts.get(name))
+    if args.seed is None:
+        env = os.environ.get("KOBER_SEED", DEFAULT_SEED)
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise CliError(f"KOBER_SEED must be an integer, got {env!r}")
+    args.format = args.format or ("csv" if args.command == "table" else "json")
+    if args.format not in FORMATS:
+        raise CliError(f"unknown format '{args.format}'")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -285,62 +253,66 @@ def _points(cfg, prefer):
     return pts
 
 
+# scalar operators: (name in scalar_ops, point flag, parameter flags).  The
+# function is looked up by name when called, so a wrapper installed on the
+# module attribute (as bench/tracing.py does) is the one that runs.  A
+# repeated parameter flag gives its first value.
+SCALAR_OPS = {
+    "kober1": ("kober_first", "u", ("zeta", "alpha")),
+    "kober2": ("kober_second", "u", ("zeta", "alpha")),
+    "saigo": ("saigo_first", "u", ("zeta", "alpha", "beta", "gamma")),
+    "riemann-liouville": ("riemann_liouville", "x", ("alpha",)),
+    "weyl-right": ("weyl_right", "x", ("alpha",)),
+    "weyl-left": ("weyl_left", "x", ("alpha",)),
+    "frac-derivative": ("frac_derivative", "x", ("alpha",)),
+}
+_PARAMETERS = {
+    "zeta": "index parameter",
+    "alpha": "order",
+    "beta": "second order parameter",
+    "gamma": "hypergeometric parameter",
+}
+
+
 def _scalar_eval_rows(cfg):
     f = parse_scalar_f(cfg.f)
-    op = cfg.op
-    rows = []
-    if op in ("kober1", "kober2"):
-        zeta = _need(cfg, "zeta", "index parameter")[0]
-        alpha = _need(cfg, "alpha", "order")[0]
-        fn = scalar_ops.kober_first if op == "kober1" else scalar_ops.kober_second
-        for u in _points(cfg, "u"):
-            val, info = fn(f, u, zeta=zeta, alpha=alpha, full_output=True)
-            rows.append((u, float(val), float(info.last_delta)))
-    elif op == "saigo":
-        zeta = _need(cfg, "zeta", "index parameter")[0]
-        alpha = _need(cfg, "alpha", "order")[0]
-        beta = _need(cfg, "beta", "second order parameter")
-        gamma = _need(cfg, "gamma", "hypergeometric parameter")
-        for u in _points(cfg, "u"):
-            val, info = scalar_ops.saigo_first(
-                f, u, zeta=zeta, alpha=alpha, beta=beta, gamma=gamma, full_output=True
-            )
-            rows.append((u, float(val), float(info.last_delta)))
-    elif op in ("riemann-liouville", "weyl-right", "weyl-left"):
-        alpha = _need(cfg, "alpha", "order")[0]
-        fn = {
-            "riemann-liouville": scalar_ops.riemann_liouville,
-            "weyl-right": scalar_ops.weyl_right,
-            "weyl-left": scalar_ops.weyl_left,
-        }[op]
-        for x in _points(cfg, "x"):
-            val, info = fn(f, x, alpha=alpha, full_output=True)
-            rows.append((x, float(val), float(info.last_delta)))
-    elif op == "frac-derivative":
-        alpha = _need(cfg, "alpha", "order")[0]
-        for x in _points(cfg, "x"):
-            val = scalar_ops.frac_derivative(f, x, alpha=alpha)
-            rows.append((x, float(val), None))
-    else:
+    if cfg.op not in SCALAR_OPS:
         raise CliError(
-            f"unknown operator '{op}'; scalar ops: kober1, kober2, saigo, "
-            "riemann-liouville, weyl-right, weyl-left, frac-derivative; "
+            f"unknown operator '{cfg.op}'; scalar ops: {', '.join(SCALAR_OPS)}; "
             "matrix ops: kober1-mat, kober2-mat"
         )
+    name, point, params = SCALAR_OPS[cfg.op]
+    kw = {}
+    for param in params:
+        v = _need(cfg, param, _PARAMETERS[param])
+        kw[param] = v[0] if isinstance(v, list) else v
+    fn = getattr(scalar_ops, name)
+    rows = []
+    for pt in _points(cfg, point):
+        if name == "frac_derivative":  # a difference stencil, with no error estimate
+            rows.append((pt, float(fn(f, pt, **kw)), None))
+        else:
+            val, info = fn(f, pt, **kw, full_output=True)
+            rows.append((pt, float(val), float(info.last_delta)))
     return rows, "err"
 
 
-def _matrix_eval_rows(cfg):
-    p = cfg.p or 1
+def _slot_pairs(cfg):
     zeta = _need(cfg, "zeta", "index parameter per slot")
     alpha = _need(cfg, "alpha", "order per slot")
     if len(alpha) != len(zeta):
         raise CliError("--zeta and --alpha must repeat the same number of times")
-    k = cfg.k or len(zeta)
-    if k != len(zeta):
-        raise CliError(f"--k {k} disagrees with {len(zeta)} repeated --zeta values")
+    return tuple(zip(zeta, alpha))
+
+
+def _matrix_eval_rows(cfg):
+    p = cfg.p or 1
+    pairs = _slot_pairs(cfg)
+    k = cfg.k or len(pairs)
+    if k != len(pairs):
+        raise CliError(f"--k {k} disagrees with {len(pairs)} repeated --zeta values")
     kind = "first" if cfg.op == "kober1-mat" else "second"
-    params = MatrixOpParams(kind, p, k, tuple(zip(zeta, alpha)))
+    params = MatrixOpParams(kind, p, k, pairs)
     f = parse_matrix_f(cfg.f, p, k)
     mc = MCConfig(n_samples=cfg.n_samples or 100000, seed=cfg.seed)
     fn = kober_matrix_first if kind == "first" else kober_matrix_second
@@ -362,22 +334,11 @@ def cmd_eval(cfg):
     else:
         rows, err_name = _scalar_eval_rows(cfg)
 
-    header = ("point", "value", err_name)
-    if cfg.fmt == "csv":
-        payload = render_csv(header, rows)
-    else:
-        obj = {"command": "eval", "op": cfg.op, "f": cfg.f, "seed": cfg.seed}
-        for name in ("p", "k", "beta", "gamma"):
-            v = getattr(cfg, name)
-            if v is not None:
-                obj[name] = v
-        for name in ("zeta", "alpha"):
-            v = getattr(cfg, name)
-            if v is not None:
-                obj[name] = list(v)
-        obj["rows"] = [dict(zip(header, row)) for row in rows]
-        payload = render_json(obj) + "\n"
-    return payload, 0
+    doc = {"command": "eval", "op": cfg.op, "f": cfg.f, "seed": cfg.seed}
+    for name in ("p", "k", "beta", "gamma", "zeta", "alpha"):
+        if getattr(cfg, name) is not None:
+            doc[name] = getattr(cfg, name)
+    return _payload(cfg, ("point", "value", err_name), rows, doc), 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +356,11 @@ def cmd_verify(cfg):
 
     header = ("id", "ref", "expected", "got", "se", "tol", "pass")
     rows = [(c.id, c.ref, c.expected, c.got, c.se, c.tol, c.passed) for c in res.cases]
-    if cfg.fmt == "csv":
-        payload = render_csv(
-            ("suite", "seed") + header, [(res.suite, res.seed) + row for row in rows]
-        )
-    else:
-        obj = {
-            "suite": res.suite,
-            "seed": res.seed,
-            "cases": [dict(zip(header, row)) for row in rows],
-        }
-        payload = render_json(obj) + "\n"
+    if cfg.format == "csv":
+        # every CSV line carries the suite and the seed
+        header = ("suite", "seed") + header
+        rows = [(res.suite, res.seed) + row for row in rows]
+    payload = _payload(cfg, header, rows, {"suite": res.suite, "seed": res.seed}, "cases")
 
     n_pass = sum(c.passed for c in res.cases)
     print(
@@ -421,16 +376,13 @@ def cmd_verify(cfg):
 
 def _ratio_table(cfg):
     kind = "first" if cfg.op == "mtransform-first" else "second"
-    zeta = _need(cfg, "zeta", "index parameter per slot")
-    alpha = _need(cfg, "alpha", "order per slot")
-    if len(alpha) != len(zeta):
-        raise CliError("--zeta and --alpha must repeat the same number of times")
-    k = len(zeta)
+    pairs = _slot_pairs(cfg)
+    k = len(pairs)
     if (cfg.p or 1) != 1:
         raise CliError("the ratio table uses the p=1 quadrature route; pass --p 1")
     if not cfg.s:
         raise CliError("empty grid; pass --s (repeatable)")
-    params = MatrixOpParams(kind, 1, k, tuple(zip(zeta, alpha)))
+    params = MatrixOpParams(kind, 1, k, pairs)
     f = parse_matrix_f(cfg.f, 1, k)
     grid = [tuple([s] * k) for s in cfg.s]
     rows = []
@@ -467,16 +419,7 @@ def cmd_table(cfg):
     else:
         header, rows = _operator_table(cfg)
 
-    if cfg.fmt == "json":
-        obj = {
-            "command": "table",
-            "op": cfg.op,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        payload = render_json(obj) + "\n"
-    else:
-        payload = render_csv(header, rows)
-    return payload, 0
+    return _payload(cfg, header, rows, {"command": "table", "op": cfg.op}), 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +428,12 @@ def cmd_table(cfg):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--op", help="operator or transform name")
-    common.add_argument("--suite", help="verification suite name")
-    common.add_argument("--f", help="test function, e.g. power:2, exp, det-power:1.5")
-    common.add_argument("--p", type=int, help="matrix dimension")
-    common.add_argument("--k", type=int, help="number of operator slots")
-    common.add_argument("--zeta", type=float, action="append", help="index parameter (repeatable)")
-    common.add_argument("--alpha", type=float, action="append", help="order (repeatable)")
-    common.add_argument("--beta", type=float, help="second order parameter")
-    common.add_argument("--gamma", type=float, help="hypergeometric parameter")
-    common.add_argument("--u", type=float, action="append", help="scale point (repeatable)")
-    common.add_argument("--x", type=float, action="append", help="line point (repeatable)")
-    common.add_argument("--s", type=float, action="append", help="transform point (repeatable)")
-    common.add_argument("--n-samples", type=int, dest="n_samples", help="Monte Carlo sample count")
-    common.add_argument("--seed", type=int, help="random seed")
-    common.add_argument("--format", choices=["json", "csv"], dest="fmt", help="output format")
-    common.add_argument("--out", help="write output to this file instead of stdout")
+    for name, typ, repeats, text in FLAGS:
+        kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
+        common.add_argument(
+            "--" + name.replace("_", "-"), dest=name, action="append" if repeats else None,
+            help=text, **kind,
+        )
     common.add_argument("--config", help="key=value config file; flags override it")
 
     parser = argparse.ArgumentParser(
@@ -514,17 +447,14 @@ def build_parser():
     return parser
 
 
+COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "table": cmd_table}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if cfg.command == "eval":
-            payload, code = cmd_eval(cfg)
-        elif cfg.command == "verify":
-            payload, code = cmd_verify(cfg)
-        else:
-            payload, code = cmd_table(cfg)
+        payload, code = COMMANDS[cfg.command](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

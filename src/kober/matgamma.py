@@ -9,11 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RatioOverflow
+from .errors import DimensionMismatch, DomainError, RatioOverflow
 
 # the largest matrix dimension p of the samplers, operators and SPD helpers
 # (desk scale); the matrix gamma function itself takes any p >= 1
 MAX_DIM = 3
+
+
+def check_dim(p):
+    """p, or DimensionMismatch when it lies outside 1..MAX_DIM."""
+    if not 1 <= p <= MAX_DIM:
+        raise DimensionMismatch(f"matrix dimension p={p} outside 1..{MAX_DIM}")
+    return p
 
 
 def _check_p(p):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import ChainDomainError, DomainError, MomentDivergence, ProposalDomainError
-from .matgamma import MAX_DIM, ln_gamma_p
+from .matgamma import check_dim, ln_gamma_p
 from .randmat import (
     DEFAULT_SEED,
     BetaMatParams,
@@ -42,8 +42,7 @@ class MatrixOpParams:
     def __post_init__(self):
         if self.kind not in ("first", "second"):
             raise DomainError(f"kind must be 'first' or 'second', got {self.kind!r}")
-        if not 1 <= self.p <= MAX_DIM:
-            raise DomainError(f"matrix dimension p={self.p} outside 1..{MAX_DIM}")
+        check_dim(self.p)
         if not 1 <= self.k <= 3:
             raise DomainError(f"number of matrix arguments k={self.k} outside 1..3")
         if len(self.pairs) != self.k:

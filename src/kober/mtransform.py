@@ -28,7 +28,7 @@ from .matrix_ops import (
     density_constant,
 )
 from .quadrature import (
-    CHUNK_ENTRIES,
+    contract_slabs,
     converge_doubling,
     jacobi_rule_01,
     legendre_rule_01,
@@ -41,6 +41,10 @@ EXP_HORIZON = 745.0
 # tensor quadrature drops a node whose coefficient times its tail bound is
 # below this share of its axis total
 PRUNE_REL = 1e-17
+# verify_transform passes a p = 1 quadrature point within this relative
+# error, a p >= 2 Monte Carlo point within 3 s.e. and this relative cap
+QUAD_TOL = 1e-6
+MC_REL_CAP = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +182,7 @@ def mellin_numeric_1d(f, s, *, q):
             )
     elif kind == "exp":
         rate = f.tail[1]
-        horizon = q.tail_cutoff or EXP_HORIZON
-        n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
+        n_seg = max(1, math.ceil(math.log2(max(EXP_HORIZON / rate, 2.0))))
         segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
     elif kind == "compact":
         # no rule may cross a jump of f at either end of its support
@@ -393,11 +396,11 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     relies on the declarations (axes included): where |f| / prod x_j^lam_j
     is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
     less than n_dropped * PRUNE_REL of K times the product of the axis sums.
-    At k = 2, chunks of x1 of shape (rows, 1, 1, 1), rows * n2 at most
-    CHUNK_ENTRIES (2^18) joint pairs, are broadcast against x2 of shape
-    (1, n2, 1, 1), so f still sees every kept joint pair; f.value
-    must broadcast its slots (index them as v[..., i, j]) and return exactly
-    the shape (rows, n2), or DomainError is raised.
+    At k = 2, slabs of x1 of shape (rows, 1, 1, 1) (quadrature.contract_slabs)
+    are broadcast against x2 of shape (1, n2, 1, 1), so f still sees every
+    kept joint pair; f.value must broadcast its slots (index them as
+    v[..., i, j]) and return exactly the shape (rows, n2), or DomainError is
+    raised.
     """
     if axes is None:
         axes = f.scalar_axes()
@@ -411,20 +414,13 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
         grids.append(x)
         coeffs.append(c[keep] * x ** (-axis.zero_order))
 
-    if params.k == 1:
-        x = grids[0]
-        return float(coeffs[0] @ _joint_values(f, [x.reshape(-1, 1, 1)], x.shape))
+    stacks = [g[..., None, None] for g in np.meshgrid(*grids, indexing="ij", sparse=True)]
 
-    x1, x2 = grids
-    c1, c2 = coeffs
-    v2 = x2.reshape(1, -1, 1, 1)
-    rows = max(1, CHUNK_ENTRIES // x2.size)
-    total = 0.0
-    for i in range(0, x1.size, rows):
-        a = x1[i : i + rows]
-        vals = _joint_values(f, [a.reshape(-1, 1, 1, 1), v2], (a.size, x2.size))
-        total += float(c1[i : i + rows] @ (vals @ c2))
-    return total
+    def slab(i, j):
+        a = stacks[0][i:j]
+        return _joint_values(f, [a] + stacks[1:], (len(a),) + tuple(x.size for x in grids[1:]))
+
+    return contract_slabs(slab, coeffs[0], coeffs[1:])
 
 
 def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
@@ -563,13 +559,14 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
 # the verification driver
 
 
-def verify_transform(kind, params, f, s_grid, mc=None, quad_tol=1e-6, mc_rel_cap=0.02):
+def verify_transform(kind, params, f, s_grid, mc=None):
     """Check the transform identity of the operator on a grid of s points.
 
     Returns one TransformReport per point.  At p = 1 the left side is the
-    tensor quadrature and the tolerance is quad_tol relative; at p >= 2 it
+    tensor quadrature and the tolerance is QUAD_TOL relative; at p >= 2 it
     is the density-route Monte Carlo, passing within 3 standard errors and
-    a hard relative cap.  Out-of-domain points are reported, not raised.
+    the relative cap MC_REL_CAP.  Out-of-domain points are reported, not
+    raised.
     """
     if kind != params.kind:
         raise DomainError(f"kind {kind!r} does not match params.kind {params.kind!r}")
@@ -586,12 +583,12 @@ def verify_transform(kind, params, f, s_grid, mc=None, quad_tol=1e-6, mc_rel_cap
             rhs = _gamma_ratio(params, pt, kind) * fstar
             if params.p == 1:
                 lhs, se = mtransform_quadrature(params, f, pt)
-                tol = quad_tol
-                ok = abs(lhs / rhs - 1.0) < quad_tol
+                tol = QUAD_TOL
+                ok = abs(lhs / rhs - 1.0) < QUAD_TOL
             else:
                 est = mtransform_mc(params, f, pt, mc)
-                lhs, se, tol = est.value, est.se, mc_rel_cap
-                ok = abs(lhs - rhs) < 3.0 * se and abs(lhs / rhs - 1.0) < mc_rel_cap
+                lhs, se, tol = est.value, est.se, MC_REL_CAP
+                ok = abs(lhs - rhs) < 3.0 * se and abs(lhs / rhs - 1.0) < MC_REL_CAP
             reports.append(
                 TransformReport(
                     s=pt.s, lhs=lhs, se=se, rhs=rhs, ratio=lhs / rhs,
@@ -602,7 +599,7 @@ def verify_transform(kind, params, f, s_grid, mc=None, quad_tol=1e-6, mc_rel_cap
             reports.append(
                 TransformReport(
                     s=pt.s, lhs=None, se=None, rhs=None, ratio=None,
-                    tol=quad_tol, passed=False, status="domain-error", note=str(exc),
+                    tol=QUAD_TOL, passed=False, status="domain-error", note=str(exc),
                 )
             )
     return reports

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import ChainDomainError, DomainError
-from .matgamma import MAX_DIM, ln_gamma_p
+from .matgamma import check_dim, ln_gamma_p
 from .spd import _chain_forward
 # the inverse chain map, under its sampler-side name
 from .spd import dirichlet_chain_inverse as inverse_dirichlet_chain  # noqa: F401
@@ -42,8 +42,7 @@ class BetaMatParams:
     b: float
 
     def __post_init__(self):
-        if not 1 <= self.p <= MAX_DIM:
-            raise DomainError(f"matrix dimension p={self.p} outside 1..{MAX_DIM}")
+        check_dim(self.p)
         bound = (self.p - 1) / 2.0
         if not (self.a > bound and self.b > bound):
             raise DomainError(
@@ -87,8 +86,7 @@ def wishart_factor(p, df, stream, size=1, antithetic=False):
     standard normal.  With antithetic, the second half of the batch repeats
     the first with the subdiagonal negated.
     """
-    if not 1 <= p <= MAX_DIM:
-        raise DomainError(f"matrix dimension p={p} outside 1..{MAX_DIM}")
+    check_dim(p)
     if not df > p - 1:
         raise DomainError(f"Wishart needs df > p - 1, got df={df} at p={p}")
     if antithetic and size % 2:

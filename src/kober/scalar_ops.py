@@ -26,10 +26,10 @@ from .errors import (
     TailDivergence,
 )
 from .quadrature import (
-    CHUNK_ENTRIES,
     EXACT_ZERO,
     QuadConfig,
     _check_order,
+    contract_slabs,
     converge_doubling,
     jacobi_rule_01,
     laguerre_rule,
@@ -494,7 +494,7 @@ def weyl_right(f, x, *, alpha, q):
             )
 
     rate = tail[1] if kind == "exp" else None
-    w0 = q.tail_cutoff if q.tail_cutoff is not None else max(1.0, x)
+    w0 = max(1.0, x)
 
     def estimate(n):
         t, w = jacobi_rule_01(n, 0.0, alpha - 1.0 + head_order)
@@ -658,10 +658,9 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
 
     kind is "first" or "second".  f is either a sequence of TestFunction1D
     (separable integrand) or a joint callable of k broadcastable arrays.
-    A joint callable is evaluated in slabs along the first variable of at
-    most CHUNK_ENTRIES (2^18) grid entries each, every slab contracted with
-    the weights before the next one is built.  With full_output the info of
-    a separable integrand is the list of per-variable QuadInfo.
+    A joint callable is evaluated in slabs along the first variable
+    (quadrature.contract_slabs).  With full_output the info of a separable
+    integrand is the list of per-variable QuadInfo.
     """
     u, zeta, alpha, k = _check_multivar(u, zeta, alpha)
     if kind not in ("first", "second"):
@@ -693,25 +692,19 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
             )
 
     def estimate(n):
-        axes = []
+        vs, ws = [], []
         for j in range(k):
             t, w = jacobi_rule_01(n, alpha[j] - 1.0, bs[j])
-            v = u[j] * t if kind == "first" else u[j] / t
-            axes.append((v, w / _gamma(alpha[j])))
-        (v0, w0), rest = axes[0], axes[1:]
-        others = np.meshgrid(v0[:1], *[v for v, _ in rest], indexing="ij", sparse=True)[1:]
-        rows = max(1, CHUNK_ENTRIES // n ** (k - 1))
-        total = 0.0
-        for i in range(0, n, rows):
-            slab = v0[i : i + rows].reshape((-1,) + (1,) * (k - 1))
-            shape = (len(slab),) + (n,) * (k - 1)
-            vals = np.asarray(f(slab, *others), dtype=float)
-            if vals.shape != shape:
-                vals = np.broadcast_to(vals, shape)
-            for _, w in reversed(rest):
-                vals = vals @ w
-            total += float(w0[i : i + rows] @ vals)
-        return total
+            vs.append(u[j] * t if kind == "first" else u[j] / t)
+            ws.append(w / _gamma(alpha[j]))
+        others = np.meshgrid(*vs, indexing="ij", sparse=True)[1:]
+
+        def slab(i, j):
+            v0 = vs[0][i:j].reshape((-1,) + (1,) * (k - 1))
+            vals = np.asarray(f(v0, *others), dtype=float)
+            return np.broadcast_to(vals, (len(v0),) + (n,) * (k - 1))
+
+        return contract_slabs(slab, ws[0], ws[1:])
 
     return converge_doubling(estimate, q)
 
@@ -726,17 +719,14 @@ def multivar_frac_derivative(f, x, *, alpha, q=None):
     k = len(alpha)
     if len(x) != k:
         raise DomainError("x and alpha must have the same length")
+    if k not in (1, 2):
+        raise DomainError("mixed fractional derivatives support at most two variables")
+    if isinstance(f, (list, tuple)):
+        if len(f) != k:
+            raise DomainError("separable integrand must supply one factor per variable")
+        return math.prod(frac_derivative(g, xj, alpha=aj, q=q) for g, xj, aj in zip(f, x, alpha))
     if k == 1:
         return frac_derivative(f, x[0], alpha=alpha[0], q=q)
-    if k != 2:
-        raise DomainError("mixed fractional derivatives support at most two variables")
-
-    if isinstance(f, (list, tuple)):
-        fs = [as_test_function(g) for g in f]
-        out = 1.0
-        for j in range(k):
-            out *= frac_derivative(fs[j], x[j], alpha=alpha[j], q=q)
-        return out
 
     m = [int(math.floor(a)) + 1 for a in alpha]
     beta = [m[j] - alpha[j] for j in range(k)]

@@ -19,7 +19,7 @@ log|S| = 2 sum_i log T_ii, with no fresh decomposition.
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .matgamma import MAX_DIM
+from .matgamma import check_dim
 
 
 def entries(x):
@@ -28,9 +28,7 @@ def entries(x):
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"expected (p, p) or (..., p, p), got shape {x.shape}")
-    p = x.shape[-1]
-    if not 1 <= p <= MAX_DIM:
-        raise DimensionMismatch(f"matrix dimension {p} outside 1..{MAX_DIM}")
+    p = check_dim(x.shape[-1])
     if x.ndim == 2:
         return [[float(v) for v in row] for row in x]
     e = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange, SingularMatrix
-from .matgamma import MAX_DIM
+from .matgamma import check_dim
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ def _as_square(a):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not 1 <= a.shape[-1] <= MAX_DIM:
-        raise DimensionMismatch(f"matrix dimension {a.shape[-1]} outside 1..{MAX_DIM}")
+    check_dim(a.shape[-1])
     return a
 
 
@@ -153,21 +152,36 @@ def dirichlet_chain_forward(ys):
     return _chain_forward(ys, ys[0].shape)
 
 
+# both directions of the chain map refuse a complement S_j whose smallest
+# eigenvalue is at most this margin, so the forward map's output always
+# maps back
+CHAIN_MARGIN = 1e-12
+
+
+def _check_complement(s, what):
+    """OutOfRange unless every member of the stack s has its smallest
+    eigenvalue above CHAIN_MARGIN, i.e. s - CHAIN_MARGIN I has a Cholesky
+    factor; the eigenvalues are computed only for the message."""
+    try:
+        smallmat.cholesky(smallmat.entries(s - CHAIN_MARGIN * np.eye(s.shape[-1])))
+    except NotPositiveDefinite:
+        w = np.linalg.eigvalsh(s).min()
+        raise OutOfRange(
+            f"{what} reaches the boundary (complement min eigenvalue {w:.3e})"
+        ) from None
+
+
 def _chain_forward(ys, shape):
     """The congruence loop of dirichlet_chain_forward over an iterable of
-    symmetric stacks of the given shape, taken as they come; OutOfRange once
-    a complement S_j has a Cholesky pivot that is not positive."""
+    symmetric stacks of the given shape, taken as they come."""
     eye = np.broadcast_to(np.eye(shape[-1]), shape)
     xs = []
     s = eye.copy()
-    for y in ys:
+    for j, y in enumerate(ys, start=1):
         root = sym_sqrt(s, check=False)
         xs.append(root @ y @ root)
         s = root @ (eye - y) @ root
-        try:
-            smallmat.cholesky(smallmat.entries(s))
-        except NotPositiveDefinite:
-            raise OutOfRange("chain coordinate reaches the boundary of O < y < I") from None
+        _check_complement(s, f"chain coordinate y_{j}")
     return xs
 
 
@@ -186,14 +200,8 @@ def dirichlet_chain_inverse(xs):
         r = sym_inv_sqrt(remainder, check=False)
         ys.append(r @ x @ np.swapaxes(r, -1, -2))
         remainder = remainder - x
-        w = np.linalg.eigvalsh(remainder)
-        if w.min() <= 1e-12:
-            what = f"partial sum x_1 + ... + x_{j}"
-            if j == len(xs):
-                what = "total sum of chain coordinates"
-            raise OutOfRange(
-                f"{what} reaches the boundary (complement min eigenvalue {w.min():.3e})"
-            )
+        what = f"partial sum x_1 + ... + x_{j}"
+        _check_complement(remainder, "total sum of chain coordinates" if j == len(xs) else what)
     return ys
 
 

@@ -73,11 +73,15 @@ class SuiteResult:
         return all(c.passed for c in self.cases)
 
 
-def _close_case(cid, ref, expected, got, tol, se=None):
-    expected, got = float(expected), float(got)
-    denom = max(abs(expected), 1e-300)
-    passed = abs(got - expected) <= tol * denom
-    return CaseResult(cid, ref, expected, got, se, tol, passed)
+def _close_cases(checks, tol):
+    """One case per (id, law, expected, got) of checks, passing within tol
+    relative."""
+    cases = []
+    for cid, ref, expected, got in checks:
+        expected, got = float(expected), float(got)
+        passed = abs(got - expected) <= tol * max(abs(expected), 1e-300)
+        cases.append(CaseResult(cid, ref, expected, got, None, tol, passed))
+    return cases
 
 
 def _mc_case(cid, ref, expected, got, se):
@@ -117,65 +121,37 @@ def _suite(name):
 
 @_suite("scalar-closed-forms")
 def suite_scalar_closed_forms(seed, p, n_samples):
-    cases = []
-    tol = 1e-8
+    return _close_cases(_scalar_checks(), 1e-8)
 
+
+def _scalar_checks():
+    """(id, law, closed form, operator value) of each scalar case, in order."""
     for zeta, alpha, lam, u in [(1.0, 0.5, 2.0, 1.0), (0.3, 1.2, 1.5, 0.7), (2.0, 0.8, 0.0, 2.5)]:
         want = math.gamma(zeta + lam + 1.0) / math.gamma(zeta + lam + 1.0 + alpha) * u**lam
         got = scalar_ops.kober_first(scalar_ops.power(lam), u, zeta=zeta, alpha=alpha)
-        cases.append(
-            _close_case(
-                f"kober1-power-z{zeta}-a{alpha}-l{lam}-u{u}",
-                "first-kind-power-moment-law",
-                want, got, tol,
-            )
-        )
+        yield f"kober1-power-z{zeta}-a{alpha}-l{lam}-u{u}", "first-kind-power-moment-law", want, got
 
     for zeta, alpha, lam, u in [(1.5, 0.5, -1.2, 1.0), (2.0, 1.1, -0.4, 0.6), (1.8, 0.7, 0.5, 2.0)]:
         want = math.gamma(zeta - lam) / math.gamma(zeta - lam + alpha) * u**lam
         got = scalar_ops.kober_second(scalar_ops.power(lam), u, zeta=zeta, alpha=alpha)
-        cases.append(
-            _close_case(
-                f"kober2-power-z{zeta}-a{alpha}-l{lam}-u{u}",
-                "second-kind-power-moment-law",
-                want, got, tol,
-            )
+        yield (
+            f"kober2-power-z{zeta}-a{alpha}-l{lam}-u{u}", "second-kind-power-moment-law", want, got
         )
 
     for alpha, lam, x in [(0.5, 2.0, 1.0), (1.3, 0.7, 2.0)]:
         want = math.gamma(lam + 1.0) / math.gamma(lam + 1.0 + alpha) * x ** (lam + alpha)
         got = scalar_ops.riemann_liouville(scalar_ops.power(lam), x, alpha=alpha)
-        cases.append(
-            _close_case(
-                f"rl-power-a{alpha}-l{lam}-x{x}",
-                "left-integral-power-law",
-                want, got, tol,
-            )
-        )
+        yield f"rl-power-a{alpha}-l{lam}-x{x}", "left-integral-power-law", want, got
 
     for alpha, rate, x in [(0.7, 1.0, 1.0), (0.4, 2.0, 0.0), (2.5, 1.0, 5.0)]:
         want = rate ** (-alpha) * math.exp(-rate * x)
         got = scalar_ops.weyl_right(scalar_ops.exp_decay(rate), x, alpha=alpha)
-        cases.append(
-            _close_case(
-                f"weyl-exp-a{alpha}-r{rate}-x{x}",
-                "right-integral-exp-eigenfunction",
-                want, got, tol,
-            )
-        )
+        yield f"weyl-exp-a{alpha}-r{rate}-x{x}", "right-integral-exp-eigenfunction", want, got
 
     alpha, m, x = 0.6, 3.0, 1.5
     want = math.gamma(m - alpha) / math.gamma(m) * x ** (alpha - m)
     got = scalar_ops.weyl_right(scalar_ops.power(-m), x, alpha=alpha)
-    cases.append(
-        _close_case(
-            f"weyl-power-a{alpha}-m{m}-x{x}",
-            "right-integral-power-law",
-            want, got, tol,
-        )
-    )
-
-    return cases
+    yield f"weyl-power-a{alpha}-m{m}-x{x}", "right-integral-power-law", want, got
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +165,12 @@ def _random_spd(rng, p, scale=1.0):
 
 @_suite("jacobians")
 def suite_jacobians(seed, p, n_samples):
-    cases = []
-    tol = 1e-3
+    return _close_cases(_jacobian_checks(seed, p), 1e-3)
+
+
+def _jacobian_checks(seed, p):
+    """(id, law, closed form, finite-difference value) of each Jacobian case,
+    in the order of their random draws."""
     ps = [p] if p else [1, 2]
     n_points = 5
 
@@ -204,11 +184,7 @@ def suite_jacobians(seed, p, n_samples):
             got = fd_jacobian_det(
                 lambda v: pack(a @ unpack(v, pp) @ a.T), pack(x)
             )
-            cases.append(
-                _close_case(
-                    f"congruence-p{pp}-{i}", "congruence-volume-element", want, got, tol
-                )
-            )
+            yield f"congruence-p{pp}-{i}", "congruence-volume-element", want, got
 
         for i in range(n_points):
             x = _random_spd(rng, pp)
@@ -216,11 +192,7 @@ def suite_jacobians(seed, p, n_samples):
             got = fd_jacobian_det(
                 lambda v: pack(np.linalg.inv(unpack(v, pp))), pack(x)
             )
-            cases.append(
-                _close_case(
-                    f"inverse-p{pp}-{i}", "inverse-volume-element", want, got, tol
-                )
-            )
+            yield f"inverse-p{pp}-{i}", "inverse-volume-element", want, got
 
         for k in (2, 3):
             for i in range(2):
@@ -237,15 +209,7 @@ def suite_jacobians(seed, p, n_samples):
                     return np.concatenate([pack(xx) for xx in xs])
 
                 got = fd_jacobian_det(fwd, np.concatenate([pack(y) for y in ys]))
-                cases.append(
-                    _close_case(
-                        f"chain-p{pp}-k{k}-{i}",
-                        "triangular-chain-volume-element",
-                        want, got, tol,
-                    )
-                )
-
-    return cases
+                yield f"chain-p{pp}-k{k}-{i}", "triangular-chain-volume-element", want, got
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,66 @@ def test_cli_entry_via_module(tmp_path):
     assert math.isclose(
         json.loads(proc.stdout)["rows"][0]["value"], EXPECTED_KOBER1, rel_tol=1e-11
     )
+
+
+def _config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_config_file_non_numeric_value_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "eval", "--config", _config(tmp_path, "p = two\n"))
+    assert code == 2
+    assert "bad value for 'p'" in err
+
+
+def test_config_file_hyphenated_key_matches_the_flag(tmp_path, capsys):
+    base = ("eval", "--op", "kober2-mat", "--zeta", "1.5", "--alpha", "0.7", "--f", "exp",
+            "--u", "1")
+    cfg = _config(tmp_path, "n-samples = 5000\n")
+    code, from_file, _ = run_cli(capsys, *base, "--config", cfg)
+    assert code == 0
+    _, from_flag, _ = run_cli(capsys, *base, "--n-samples", "5000")
+    _, default, _ = run_cli(capsys, *base, "--n-samples", "6000")
+    assert from_file == from_flag != default
+
+
+def test_config_file_lists_split_on_spaces_and_commas(tmp_path, capsys):
+    cfg = _config(
+        tmp_path,
+        "op = kober1\nzeta = 1\nalpha = 0.5\nf = power:2\nu = 0.5 1, 2,4\nformat = csv\n",
+    )
+    code, out, _ = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 0
+    points = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert points == ["0.5", "1", "2", "4"]
+
+
+def test_config_file_unknown_format_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "eval", "--config", _config(tmp_path, "format = xml\n"))
+    assert code == 2
+    assert "unknown format" in err
+
+
+def test_config_file_cannot_name_another_config(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "eval", "--config", _config(tmp_path, "config = x\n"))
+    assert code == 2
+    assert "unknown key 'config'" in err
+
+
+def test_seed_order_flag_file_env_default(tmp_path, capsys, monkeypatch):
+    cfg = _config(tmp_path, "seed = 7\n")
+    verify = ("verify", "--suite", "jacobians")
+
+    def seed(*argv):
+        code, out, _ = run_cli(capsys, *verify, *argv)
+        assert code == 0
+        return json.loads(out)["seed"]
+
+    monkeypatch.delenv("KOBER_SEED", raising=False)
+    assert seed() == DEFAULT_SEED
+    monkeypatch.setenv("KOBER_SEED", "5")
+    assert seed() == 5
+    assert seed("--config", cfg) == 7
+    assert seed("--config", cfg, "--seed", "2") == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, gammasgn, rgamma
 
-from kober import scalar_ops
+from kober import quadrature
 from kober.errors import (
     DomainError,
     HypergeometricNonConvergent,
@@ -488,7 +488,7 @@ def _one_slab_multivar(kind, f, u, zeta, alpha, n):
 def test_multivar_slabs_match_one_slab(kind, k, f, monkeypatch):
     # small slabs (uneven at k = 2, one row each at k = 3); the second and
     # fourth integrands ignore an argument and come back broadcast
-    monkeypatch.setattr(scalar_ops, "CHUNK_ENTRIES", 1000)
+    monkeypatch.setattr(quadrature, "CHUNK_ENTRIES", 1000)
     u, zeta, alpha = (1.1, 0.7, 1.6)[:k], (0.8, 1.3, 0.6)[:k], (0.5, 1.2, 0.9)[:k]
     val, info = multivar_op(kind, f, u, zeta=zeta, alpha=alpha, full_output=True)
     expect = _one_slab_multivar(kind, f, u, zeta, alpha, info.nodes)
@@ -546,3 +546,14 @@ def test_quad_config_tightening_improves_noise_floor():
     loose = kober_first(exp_decay(1.0), 1.0, zeta=0.5, alpha=0.75, q=QuadConfig(base_nodes=8))
     tight = kober_first(exp_decay(1.0), 1.0, zeta=0.5, alpha=0.75)
     np.testing.assert_allclose(loose, tight, rtol=1e-7)
+
+
+def test_mixed_derivative_one_factor_list_at_one_variable():
+    val = multivar_frac_derivative([exp_decay(1.0)], (1.2,), alpha=(0.5,))
+    assert val == frac_derivative(exp_decay(1.0), 1.2, alpha=0.5)
+
+
+def test_mixed_derivative_refuses_a_factor_list_of_the_wrong_length():
+    factors = [exp_decay(1.0), power(1.5), exp_decay(2.0)]
+    with pytest.raises(DomainError, match="one factor per variable"):
+        multivar_frac_derivative(factors, (1.0, 0.8), alpha=(0.5, 0.7))

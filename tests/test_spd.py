@@ -146,3 +146,17 @@ def test_chain_inverse_rejects_mass_at_boundary():
     xs = [np.array([[0.7]]), np.array([[0.3]])]
     with pytest.raises((OutOfRange, NotPositiveDefinite)):
         dirichlet_chain_inverse(xs)
+
+
+def test_chain_boundary_is_the_same_in_both_directions():
+    # the complement after y_2 is 0.5e-13, inside the boundary margin: the
+    # forward map must refuse it as the inverse does, or the round trip hold
+    ys = [np.array([[0.5]]), np.array([[1.0 - 1e-13]])]
+    try:
+        xs = dirichlet_chain_forward(ys)
+    except OutOfRange:
+        with pytest.raises(OutOfRange):
+            dirichlet_chain_inverse([np.array([[0.5]]), np.array([[0.5 * (1.0 - 1e-13)]])])
+    else:
+        for y, y2 in zip(ys, dirichlet_chain_inverse(xs)):
+            np.testing.assert_allclose(y, y2, rtol=1e-9)
