@@ -54,7 +54,8 @@ class NonDifferentiable(KoberError):
 
 
 class MomentDivergence(KoberError):
-    """Monte Carlo batch means disagree; the requested moment is unstable."""
+    """A Monte Carlo sum is not finite or is dominated by a single draw; the
+    requested moment is unstable."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -43,13 +43,17 @@ def ln_gamma_p(p, alpha):
     return out
 
 
-def gamma_p(p, alpha):
-    """Matrix-variate gamma function; overflow-checked exponential of ln_gamma_p."""
-    ln = ln_gamma_p(p, alpha)
+def checked_exp(ln, what):
+    """exp(ln), or RatioOverflow naming what when it exceeds the floating range."""
     try:
         return math.exp(ln)
     except OverflowError as exc:
-        raise RatioOverflow(f"gamma_p({p}, {alpha}) exceeds the floating range") from exc
+        raise RatioOverflow(f"{what} exceeds the floating range") from exc
+
+
+def gamma_p(p, alpha):
+    """Matrix-variate gamma function; overflow-checked exponential of ln_gamma_p."""
+    return checked_exp(ln_gamma_p(p, alpha), f"gamma_p({p}, {alpha})")
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,4 @@ def ln_gamma_ratio(spec):
 def gamma_ratio(spec):
     """Evaluate prod Gamma_p(numerator) / prod Gamma_p(denominator) in log space."""
     ln = ln_gamma_ratio(spec)
-    try:
-        return math.exp(ln)
-    except OverflowError as exc:
-        raise RatioOverflow(
-            f"gamma ratio exponent {ln:.1f} exceeds the floating range"
-        ) from exc
+    return checked_exp(ln, f"gamma ratio exponent {ln:.1f}")

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import scalar_ops, smallmat
 from .errors import DomainError, ProposalDomainError, TailDivergence
-from .matgamma import ln_gamma_p
+from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
     MatrixOpParams,
     MCConfig,
     _density_mode_factors,
-    _f_of_factors,
+    _f_second_kind,
     _mc_expectation,
     density_constant,
 )
@@ -134,11 +134,12 @@ def _gamma_ratio(params, s, kind):
         raise DomainError(f"params.kind must be {kind!r}")
     pt.check(params)
     half = (params.p + 1) / 2.0
-    total = 0.0
+    num, den = [], []
     for sj, (zeta, alpha) in zip(pt, params.pairs):
         a = half + zeta - sj if kind == "first" else zeta + sj
-        total += ln_gamma_p(params.p, a) - ln_gamma_p(params.p, a + alpha)
-    return math.exp(total)
+        num.append(a)
+        den.append(a + alpha)
+    return gamma_ratio(GammaRatioSpec(params.p, tuple(num), tuple(den)))
 
 
 def gamma_ratio_first(params, s):
@@ -476,7 +477,7 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
     shifts = [sj - (params.p + 1) / 2.0 for sj in pt]
 
     def vals_fn(rng, m):
-        draws = _density_mode_factors(params, sampler, rng, m, chain, mc.antithetic)
+        draws = _density_mode_factors(params, sampler, rng, m, chain)
         logs = 0.0
         for sh, (_, _, logdet_u) in zip(shifts, draws):
             logs = logs + sh * logdet_u
@@ -485,7 +486,7 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
     return _mc_expectation(vals_fn, mc, scale=scale)
 
 
-def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
+def mtransform_mc_operator(params, f, s, mc=None):
     """Transform of the operator output by importance sampling over U.
 
     Draws U_j from a proposal matched to the operator output, W_j from the
@@ -499,9 +500,8 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
     >= tr U.  R is the proposal's own Bartlett factor over sqrt(2), so
     U = R R' and log|U| = 2 sum_i log R_ii; R = U^(1/2) H with H orthogonal,
     and the law of W^(-1) is invariant under H, so R W^(-1) R' has the law of
-    U^(1/2) W^(-1) U^(1/2).  proposal_df overrides the Wishart degrees of
-    freedom.  DomainError where f's own transform diverges at s (only
-    families with a closed-form transform are checked).
+    U^(1/2) W^(-1) U^(1/2).  DomainError where f's own transform diverges
+    at s (only families with a closed-form transform are checked).
 
     The first kind is refused.  Its output decays like |U|^(-zeta-(p+1)/2),
     so the conditional variance of a single W draw falls off at only half
@@ -521,38 +521,28 @@ def mtransform_mc_operator(params, f, s, mc=None, proposal_df=None):
     f.mellin(pt.s)  # raises DomainError where f's own transform diverges
     p = params.p
 
-    if proposal_df is None:
-        proposal_df = [max(2.0 * sj, p - 0.5) for sj in pt]
-    elif np.isscalar(proposal_df):
-        proposal_df = [float(proposal_df)] * params.k
-    ln_scale = 0.0
-    betas = []
-    for (zeta, alpha), df0 in zip(params.pairs, proposal_df):
-        betas.append(BetaMatParams(p, zeta, alpha))
-        ln_scale += ln_gamma_p(p, zeta) - ln_gamma_p(p, zeta + alpha)
-        # proposal normaliser of Wishart(df0, I/2), density
-        # |U|^(df0/2-(p+1)/2) exp(-tr U) / Gamma_p(df0/2)
-        ln_scale += ln_gamma_p(p, df0 / 2.0)
+    dfs = [max(2.0 * sj, p - 0.5) for sj in pt]
+    betas = [BetaMatParams(p, zeta, alpha) for zeta, alpha in params.pairs]
+    # the proposal normalisers Gamma_p(df0/2) of Wishart(df0, I/2), density
+    # |U|^(df0/2-(p+1)/2) exp(-tr U) / Gamma_p(df0/2), join the numerator
+    scale = gamma_ratio(GammaRatioSpec(
+        p,
+        tuple(prm.a for prm in betas) + tuple(df0 / 2.0 for df0 in dfs),
+        tuple(prm.a + prm.b for prm in betas),
+    ))
 
     def vals_fn(rng, m):
         logs = 0.0
         ts, ks, log_u = [], [], []
-        for prm, df0, sj in zip(betas, proposal_df, pt):
+        for prm, df0, sj in zip(betas, dfs, pt):
             t = wishart_factor(p, df0, rng, m)  # U = T T' / 2, R = T / sqrt(2)
             ts.append(t)
-            ks.append(matrix_beta_factor(prm, rng, m, mc.antithetic))
+            ks.append(matrix_beta_factor(prm, rng, m))
             log_u.append(smallmat.logdet(t) - p * math.log(2.0))
             logs = logs + (sj - df0 / 2.0) * log_u[-1] + 0.5 * smallmat.gram_trace(t)
-        # V = R W^(-1) R' = (T K^(-T)) (T K^(-T))' / 2, log|V| = log|U| - log|W|
-        vals = _f_of_factors(
-            f, (m,),
-            lambda j: smallmat.matmul(ts[j], smallmat.inv_factor(ks[j])),
-            lambda j: log_u[j] - smallmat.logdet(ks[j]),
-            scale=0.5,
-        )
-        return vals * np.exp(logs)
+        return _f_second_kind(f, m, ts, log_u, ks, 0.5) * np.exp(logs)
 
-    return _mc_expectation(vals_fn, mc, scale=math.exp(ln_scale))
+    return _mc_expectation(vals_fn, mc, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -78,42 +78,34 @@ def _resolve_rng(stream):
     raise DomainError(f"expected RngStream or Generator, got {type(stream)!r}")
 
 
-def wishart_factor(p, df, stream, size=1, antithetic=False):
+def wishart_factor(p, df, stream, size=1):
     """Bartlett factor T of W_p(df, I) draws S = T T', as a smallmat stack.
 
     T is lower triangular: T_ii is the square root of a chi-square draw with
     df - i + 1 degrees of freedom (i = 1..p) and the subdiagonal entries are
-    standard normal.  With antithetic, the second half of the batch repeats
-    the first with the subdiagonal negated.
+    standard normal.
     """
     check_dim(p)
     if not df > p - 1:
         raise DomainError(f"Wishart needs df > p - 1, got df={df} at p={p}")
-    if antithetic and size % 2:
-        raise DomainError("antithetic sampling needs an even batch size")
     rng = _resolve_rng(stream)
-    half = size // 2 if antithetic else size
     t = [[None] * p for _ in range(p)]
     for i in range(p):
-        t[i][i] = np.sqrt(rng.chisquare(df - i, size=half))
+        t[i][i] = np.sqrt(rng.chisquare(df - i, size=size))
     lower = [(i, j) for i in range(p) for j in range(i)]  # np.tril_indices(p, -1) order
-    normals = rng.standard_normal((half, len(lower))).T.copy()
+    normals = rng.standard_normal((size, len(lower))).T.copy()
     for (i, j), z in zip(lower, normals):
         t[i][j] = z
-    if antithetic:
-        for i in range(p):
-            for j in range(i + 1):
-                t[i][j] = np.concatenate((t[i][j], -t[i][j] if i > j else t[i][j]))
     return t
 
 
-def sample_wishart(p, df, stream, size=1, antithetic=False):
+def sample_wishart(p, df, stream, size=1):
     """Draws from the standard Wishart W_p(df, I), df > p-1 real, as an
     (size, p, p) stack: T T' of the Bartlett factor T of wishart_factor."""
-    return smallmat.stack(smallmat.gram(wishart_factor(p, df, stream, size, antithetic)))
+    return smallmat.stack(smallmat.gram(wishart_factor(p, df, stream, size)))
 
 
-def matrix_beta_factor(params, stream, size=1, antithetic=False):
+def matrix_beta_factor(params, stream, size=1):
     """Lower-triangular factor K of type-1 matrix-beta draws X = K K'.
 
     With S1 = T1 T1' ~ W_p(2a, I) and S2 ~ W_p(2b, I) independent and
@@ -126,22 +118,22 @@ def matrix_beta_factor(params, stream, size=1, antithetic=False):
     without a decomposition of X.
     """
     rng = _resolve_rng(stream)
-    t1 = wishart_factor(params.p, 2.0 * params.a, rng, size, antithetic)
-    t2 = wishart_factor(params.p, 2.0 * params.b, rng, size, antithetic)
+    t1 = wishart_factor(params.p, 2.0 * params.a, rng, size)
+    t2 = wishart_factor(params.p, 2.0 * params.b, rng, size)
     # S1 + S2 is the Gram product of the p x 2p block row [T1 T2]
     s = smallmat.gram([r1 + r2 for r1, r2 in zip(t1, t2)])
     return smallmat.matmul(smallmat.tri_inv(smallmat.cholesky(s)), t1)
 
 
-def sample_matrix_beta(params, stream, size=1, antithetic=False):
+def sample_matrix_beta(params, stream, size=1):
     """Type-1 matrix beta draws, an (size, p, p) stack of X = K K' with K
     from matrix_beta_factor.  The law is that of (S1+S2)^(-1/2) S1
     (S1+S2)^(-1/2) with S1 ~ W_p(2a, I) and S2 ~ W_p(2b, I) independent;
     single draws differ from that construction by an orthogonal conjugation."""
-    return smallmat.stack(smallmat.gram(matrix_beta_factor(params, stream, size, antithetic)))
+    return smallmat.stack(smallmat.gram(matrix_beta_factor(params, stream, size)))
 
 
-def sample_dirichlet_chain(pairs, stream, size=1, antithetic=False):
+def sample_dirichlet_chain(pairs, stream, size=1):
     """Chain-distributed (X_1..X_k) from independent Y_j ~ matrix-beta(pairs[j]).
 
     pairs is the list of derived BetaMatParams, one per chain slot (the
@@ -156,7 +148,7 @@ def sample_dirichlet_chain(pairs, stream, size=1, antithetic=False):
     if any(prm.p != p for prm in pairs):
         raise ChainDomainError("all chain slots must share the dimension p")
     rng = _resolve_rng(stream)
-    ys = (sample_matrix_beta(prm, rng, size, antithetic) for prm in pairs)
+    ys = (sample_matrix_beta(prm, rng, size) for prm in pairs)
     return _chain_forward(ys, (size, p, p))
 
 

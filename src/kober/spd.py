@@ -28,9 +28,9 @@ def _as_square(a):
     return a
 
 
-def require_symmetric(a, tol=1e-10):
+def require_symmetric(a):
     a = _as_square(a)
-    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=0.0, atol=tol * (1.0 + np.abs(a).max())):
+    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max())):
         raise DimensionMismatch("matrix is not symmetric")
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
@@ -222,16 +222,15 @@ def jac_dirichlet_chain(ys):
     return out
 
 
-def fd_jacobian_det(map_fn, point, step=None):
+def fd_jacobian_det(map_fn, point):
     """Jacobian determinant magnitude of a packed-coordinate map, by central
-    differences.
+    differences with step 1e-5 (1 + max |point|).
 
     map_fn takes and returns 1-d packed coordinate arrays of equal length.
     """
     x0 = np.asarray(point, dtype=float)
     n = x0.size
-    if step is None:
-        step = 1e-5 * (1.0 + float(np.abs(x0).max()))
+    step = 1e-5 * (1.0 + float(np.abs(x0).max()))
     cols = np.empty((n, n))
     for i in range(n):
         delta = np.zeros(n)

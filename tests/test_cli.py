@@ -258,6 +258,22 @@ def test_table_out_of_domain_row_is_marked(capsys):
     assert lines[2].endswith("domain-error")
 
 
+@pytest.mark.parametrize(
+    "op,zeta,s", [("mtransform-second", "1.8", "200"), ("mtransform-first", "300", "180")]
+)
+def test_table_transform_overflow_exit_2(tmp_path, capsys, op, zeta, s):
+    # Gamma(s) of exp(-v) exceeds the double range; exit 1 means a failed case
+    out_file = tmp_path / "table.csv"
+    code, out, err = run_cli(
+        capsys, "table", "--op", op, "--zeta", zeta, "--alpha", "0.9",
+        "--s", s, "--out", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RatioOverflow:")
+    assert not out_file.exists()
+
+
 def test_table_empty_grid_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "table", "--op", "kober1", "--zeta", "1", "--alpha", "0.5",

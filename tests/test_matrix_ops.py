@@ -186,16 +186,6 @@ def test_first_kind_separable_k2_matches_univariate_product():
     assert abs(est2.value - prod) < 3.0 * se
 
 
-def test_antithetic_estimate_consistent():
-    params = MatrixOpParams("second", 2, 1, ((2.0, 1.5),))
-    est = kober_matrix_second(
-        params, det_power(2, -2.0), [U22],
-        MCConfig(n_samples=100000, seed=14, antithetic=True),
-    )
-    closed = np.linalg.det(U22) ** -2.0 * math.exp(ln_gamma_p(2, 4.0) - ln_gamma_p(2, 5.5))
-    within_se(est, closed)
-
-
 def test_divergent_moment_is_flagged():
     # f = |V|^3 makes E|W|^(-3) infinite for zeta = 2 at p = 1
     params = MatrixOpParams("second", 1, 1, ((2.0, 1.5),))

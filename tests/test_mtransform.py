@@ -350,6 +350,18 @@ def test_operator_route_agrees_with_density_route():
     assert abs(a.value - b.value) < 3.0 * math.hypot(a.se, b.se)
 
 
+def test_operator_route_two_slots_against_closed_form():
+    # each slot has its own beta law, Wishart proposal and Gamma_p(df0/2)
+    # normaliser in the scale
+    prm = MatrixOpParams("second", 2, 2, ((1.8, 0.9), (2.2, 0.7)))
+    f = exp_neg_trace(2, 2)
+    s = (1.6, 1.9)
+    want = gamma_ratio_second(prm, s) * f.mellin(s)
+    est = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=200000, seed=1, n_streams=16))
+    assert abs(est.value - want) < 4.0 * est.se
+    np.testing.assert_allclose(est.value, want, rtol=0.02)
+
+
 @pytest.mark.parametrize("s,seed", [(s, seed) for s in (1.1, 1.3) for seed in range(1, 7)])
 def test_operator_route_p3_low_proposal_df(s, seed):
     # at s <= 1.25 the default proposal df is p - 0.5 = 2.5, whose Wishart

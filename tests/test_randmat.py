@@ -192,10 +192,3 @@ def test_chain_params_validation():
         DirichletChainParams(p=2, k=1, zeta=(1.0,), beta=(0.5,), zeta_tail=1.0)
     with pytest.raises(ChainDomainError):
         sample_dirichlet_chain([], RngStream(0))
-
-
-def test_antithetic_keeps_the_marginal_law():
-    x = sample_wishart(2, 5.0, RngStream(14), size=100000, antithetic=True)
-    mean_within(np.linalg.det(x), wishart_det_moment(2, 5.0, 1.0))
-    with pytest.raises(DomainError):
-        sample_wishart(2, 5.0, RngStream(14), size=5, antithetic=True)
