@@ -390,7 +390,7 @@ def _ratio_table(cfg):
         if rep.status == "domain-error":
             rows.append((rep.s[0], None, None, None, "domain-error"))
         else:
-            rows.append((rep.s[0], rep.lhs, rep.rhs, rep.ratio, "ok"))
+            rows.append((rep.s[0], rep.lhs, rep.rhs, rep.ratio, "ok" if rep.passed else "fail"))
     header = ("s", "lhs", "rhs", "ratio", "status")
     return header, rows
 

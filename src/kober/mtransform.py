@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar_ops, smallmat
-from .errors import DomainError, ProposalDomainError, TailDivergence
+from .errors import DomainError, ProposalDomainError, RatioOverflow, TailDivergence
 from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
     MatrixOpParams,
@@ -276,7 +276,8 @@ def operator_curve_1d(kind, zeta, alpha, f, q=None):
 
 
 # ---------------------------------------------------------------------------
-# p = 1 tensor quadrature of the transform, honest in the joint arguments
+# p = 1 tensor quadrature of the transform: one sum per slot for a law, the
+# joint grid for a callback
 
 
 def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
@@ -297,6 +298,10 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
     rate = axis.tail[1]
     if s + lam <= 0.0:
         raise DomainError(f"transform diverges at zero: s + zero order = {s + lam} <= 0")
+    try:
+        gamma_a = math.gamma(alpha)
+    except OverflowError:
+        raise RatioOverflow(f"Gamma({alpha}) exceeds the floating range") from None
 
     if kind == "second":
         if zeta < 1.0 + lam:
@@ -307,7 +312,7 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
         t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta - 1.0)
         # the inner residual carries t^-lam so that dividing f by x^lam at
         # the ratio node keeps the absorbed powers consistent
-        c_in = w_in * t_in ** (-lam) / math.gamma(alpha)
+        c_in = w_in * t_in ** (-lam) / gamma_a
         ratio = 1.0 / t_in
         # segment contributions fall off like exp(-rate u); beyond this
         # horizon they are orders of magnitude below the quadrature target
@@ -322,7 +327,7 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
         if zeta + lam <= -1.0:
             raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
         t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta + lam)
-        c_in = w_in / math.gamma(alpha)
+        c_in = w_in / gamma_a
         ratio = t_in
         # the segments end at S = 2^n_seg, up to which the inner t-rule
         # still resolves the decay scale 1/(rate u) of f(u t)
@@ -354,12 +359,13 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
         tau, w_tau = jacobi_rule_01(n_outer, 0.0, d - s - 1.0)
         u_far = S / tau
         # M contribution: S^s sum_i w_tau_i tau_i^-d g(u_i) with
-        # g(u) = u^(-zeta-alpha)/Gamma(a) int_0^cap (u-w)^(a-1) w^(zeta+lam) fhat(w) dw
-        pref = S**s * w_tau * tau ** (-d) * u_far ** (-zeta - alpha)
-        kern = (u_far[:, None] - w_far[None, :]) ** (alpha - 1.0)
+        # g(u) = u^(-zeta-1)/Gamma(a) int_0^cap (1-w/u)^(a-1) w^(zeta+lam) fhat(w) dw
+        # (the kernel u^(-zeta-a) (u-w)^(a-1) regrouped to stay finite at large a)
+        pref = S**s * w_tau * tau ** (-d) * u_far ** (-zeta - 1.0)
+        kern = (1.0 - w_far[None, :] / u_far[:, None]) ** (alpha - 1.0)
         c_far = (
             cap ** (zeta + lam + 1.0)
-            / math.gamma(alpha)
+            / gamma_a
             * (pref[:, None] * kern * w_w[None, :]).sum(axis=0)
         )
         xs.append(w_far)
@@ -386,10 +392,13 @@ def _joint_values(f, vs, shape):
 def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     """M-transform of the operator output by tensor quadrature, p = 1, k <= 2.
 
-    The slot function is evaluated jointly on the product grid; separable
-    structure of f is never used, so the result is an independent numerical
-    route to the closed form.  axes overrides the per-slot endpoint
-    declarations, which joint callback functions cannot carry themselves.
+    A law is a product over its slots (f.scalar_axes()), so the tensor sum
+    factors exactly into one axis sum per slot, prod_j sum_i c_ji f_j(x_ji);
+    a callback is evaluated jointly on the product grid.  Either way no
+    gamma function or closed-form transform enters, so the result is an
+    independent numerical route to the closed form.  axes overrides the
+    per-slot endpoint declarations, which joint callback functions cannot
+    carry themselves; a law's values still come from its own slot factors.
 
     Each axis folds x^(-lam) of its zero order into the coefficients and
     keeps only the nodes with |c| exp(-rate x) >= PRUNE_REL times the axis
@@ -397,14 +406,15 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     relies on the declarations (axes included): where |f| / prod x_j^lam_j
     is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
     less than n_dropped * PRUNE_REL of K times the product of the axis sums.
-    At k = 2, slabs of x1 of shape (rows, 1, 1, 1) (quadrature.contract_slabs)
-    are broadcast against x2 of shape (1, n2, 1, 1), so f still sees every
-    kept joint pair; f.value must broadcast its slots (index them as
-    v[..., i, j]) and return exactly the shape (rows, n2), or DomainError is
-    raised.
+    For a callback at k = 2, slabs of x1 of shape (rows, 1, 1, 1)
+    (quadrature.contract_slabs) are broadcast against x2 of shape
+    (1, n2, 1, 1), so f still sees every kept joint pair; f.value must
+    broadcast its slots (index them as v[..., i, j]) and return exactly the
+    shape (rows, n2), or DomainError is raised.
     """
+    factors = None if f.fn is not None else f.scalar_axes()
     if axes is None:
-        axes = f.scalar_axes()
+        axes = factors
     coeffs = []
     grids = []
     for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes):
@@ -414,6 +424,8 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
         x = x[keep]
         grids.append(x)
         coeffs.append(c[keep] * x ** (-axis.zero_order))
+    if factors is not None:
+        return math.prod(float(c @ fj(x)) for c, fj, x in zip(coeffs, factors, grids))
 
     stacks = [g[..., None, None] for g in np.meshgrid(*grids, indexing="ij", sparse=True)]
 
@@ -431,9 +443,9 @@ def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
     Both rules drop the nodes whose coefficient times the declared tail
     bound exp(-rate x) is below PRUNE_REL of its axis total, so the slot
     tails declared by f's family, or by axes for callbacks, must hold.
-    At k = 2 the slots reach f.value as mutually broadcastable stacks of
-    shapes (rows, 1, 1, 1) and (1, n2, 1, 1): a callback must index them as
-    v[..., i, j] and return shape (rows, n2), else DomainError is raised.
+    At k = 2 a callback's slots reach f.value as mutually broadcastable
+    stacks of shapes (rows, 1, 1, 1) and (1, n2, 1, 1): it must index them
+    as v[..., i, j] and return shape (rows, n2), else DomainError is raised.
     """
     if params.p != 1:
         raise DomainError("the quadrature transform path needs p = 1")

@@ -274,6 +274,32 @@ def test_table_transform_overflow_exit_2(tmp_path, capsys, op, zeta, s):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("op", ["mtransform-second", "mtransform-first"])
+def test_table_order_past_the_gamma_range_exit_2(capsys, op):
+    # Gamma(200) overflows a double while the transform itself underflows
+    # (Gamma(2.8) / Gamma(202.8) ~ 1e-375): one error line, no traceback
+    code, out, err = run_cli(
+        capsys, "table", "--op", op, "--zeta", "1.8", "--alpha", "200", "--s", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RatioOverflow:")
+    assert len(err.splitlines()) == 1
+
+
+def test_table_status_marks_a_ratio_outside_the_tolerance(capsys):
+    # the (48, 64) rule misses the second-kind transform at alpha = 40 by
+    # 1.4e-6 relative, past QUAD_TOL = 1e-6
+    code, out, _ = run_cli(
+        capsys, "table", "--op", "mtransform-second", "--zeta", "1.8",
+        "--alpha", "40", "--s", "1",
+    )
+    assert code == 0
+    parts = out.splitlines()[1].split(",")
+    assert abs(float(parts[3]) - 1.0) > 1e-6
+    assert parts[4] == "fail"
+
+
 def test_table_empty_grid_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "table", "--op", "kober1", "--zeta", "1", "--alpha", "0.5",

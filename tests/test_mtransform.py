@@ -247,6 +247,54 @@ def test_tensor_route_matches_unpruned_brute_force_sum(kind):
     np.testing.assert_allclose(val, brute, rtol=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["second", "first"])
+def test_law_slot_sums_match_the_joint_grid_of_the_same_function(kind):
+    # a law's tensor sum is the product of its slot sums; the same function
+    # as a callback goes through the joint slabs, with the same rules
+    def fn(v1, v2):
+        x1 = v1[..., 0, 0]
+        x2 = v2[..., 0, 0]
+        return x1**0.7 * x2**1.3 * np.exp(-x1 - x2)
+
+    law = det_power_times_exp(1, (1.7, 2.3), k=2)
+    joint = matrix_callback(1, fn, k=2)
+    axes = [power_times_exp(0.7, 1.0), power_times_exp(1.3, 1.0)]
+    prm = MatrixOpParams(kind, 1, 2, ((1.9, 0.8), (2.6, 1.1)))
+    s = (1.2, 0.9)
+    got, _ = mtransform_quadrature(prm, law, s, n_outer=24, n_inner=32)
+    want, _ = mtransform_quadrature(prm, joint, s, n_outer=24, n_inner=32, axes=axes)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["second", "first"])
+def test_law_values_come_from_the_law_not_from_axes(kind):
+    # axes only declare endpoint behaviour; a law's slot values are its own
+    # e^(-x), never the declared x^(1/2) e^(-x) or e^(-x/2)
+    f = exp_neg_trace(1, 2)
+    joint = matrix_callback(1, lambda v1, v2: np.exp(-v1[..., 0, 0] - v2[..., 0, 0]), k=2)
+    prm = MatrixOpParams(kind, 1, 2, ((1.6, 0.9), (2.1, 0.6)))
+    s = (1.3, 0.8)
+    # a wrong zero order costs accuracy, but both routes sum the same nodes
+    axes = [power_times_exp(0.5, 1.0), exp_decay(1.0)]
+    got, _ = mtransform_quadrature(prm, f, s, axes=axes)
+    want, _ = mtransform_quadrature(prm, joint, s, axes=axes)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    # a slower declared decay still bounds e^(-x), so the closed form holds
+    val, _ = mtransform_quadrature(prm, f, s, axes=[exp_decay(0.5), exp_decay(1.0)])
+    ratio = gamma_ratio_second if kind == "second" else gamma_ratio_first
+    want = ratio(prm, s) * math.gamma(s[0]) * math.gamma(s[1])
+    np.testing.assert_allclose(val, want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_first_kind_far_range_holds_at_large_order(s):
+    # u^(-zeta-alpha) (u - w)^(alpha-1) overflows at alpha = 100; the far
+    # range must stay finite instead of pruning every node to a silent 0
+    prm = MatrixOpParams("first", 1, 1, ((1.8, 100.0),))
+    val, _ = mtransform_quadrature(prm, exp_neg_trace(1), s)
+    np.testing.assert_allclose(val, gamma_ratio_first(prm, s) * math.gamma(s), rtol=1e-8)
+
+
 def test_tensor_route_refuses_callback_that_drops_a_broadcast_axis():
     # v[:, 0, 0] keeps only the first x2 node of the (1, n2, 1, 1) stack; the
     # route must raise rather than integrate f(x1, x2[0])
