@@ -425,7 +425,11 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
         grids.append(x)
         coeffs.append(c[keep] * x ** (-axis.zero_order))
     if factors is not None:
-        return math.prod(float(c @ fj(x)) for c, fj, x in zip(coeffs, factors, grids))
+        # fsum, not a BLAS dot: the bits do not depend on the thread count
+        # (tolist: fsum reads Python floats faster than numpy scalars)
+        return math.prod(
+            math.fsum((c * fj(x)).tolist()) for c, fj, x in zip(coeffs, factors, grids)
+        )
 
     stacks = [g[..., None, None] for g in np.meshgrid(*grids, indexing="ij", sparse=True)]
 

@@ -165,6 +165,17 @@ def test_saigo_whole_gap_against_oracle():
     assert _rel(got, want) < 1e-9
 
 
+@pytest.mark.parametrize("gap", [1.0 - 1e-9, 1.0 + 1e-9, 2.0 + 3e-6])
+def test_saigo_near_whole_gap_against_oracle(gap):
+    # gamma - beta just off a whole number: the kernel's 2F1 takes the quartic
+    # in the gap offset
+    zeta, alpha, beta, lam, u = 1.27, 1.0, -0.5, 0.58, 1.07
+    gamma_par = beta + gap
+    got = saigo_first(power(lam), u, zeta=zeta, alpha=alpha, beta=beta, gamma=gamma_par)
+    want = _saigo_oracle(zeta, alpha, beta, gamma_par, lam, u)
+    assert _rel(got, want) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # 3. fractional derivative
 

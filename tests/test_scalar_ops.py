@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, gammasgn, rgamma
 
@@ -11,11 +11,13 @@ from kober import quadrature
 from kober.errors import (
     DomainError,
     HypergeometricNonConvergent,
+    KoberError,
     NonDifferentiable,
     TailDivergence,
 )
 from kober.quadrature import QuadConfig, jacobi_rule_01
 from kober.scalar_ops import (
+    GAP_DELTA,
     callback,
     exp_decay,
     exp_growth,
@@ -339,6 +341,89 @@ def test_2f1_whole_gap_divergent_at_one_still_raises():
         gauss_2f1(0.3, 0.7, 1.0, 1.0 - 1e-9)
     with pytest.raises(HypergeometricNonConvergent):
         gauss_2f1(1.3, 0.9, 1.2, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, z",
+    [
+        # c - a - b = 1 - 1e-9: the Gamma(+-s) connection formula once gave -0.9019
+        (1.4698188415282418, -2.4236710993598605, 0.04614774116838136, 0.9970010539808638),
+        # c - a - b = 2 + 2e-10: once off by 9e-7 relative
+        (2.5, -1.48, 2.5 - 1.48 + 2e-10, 0.9),
+    ],
+)
+def test_2f1_near_whole_gap(a, b, c, z):
+    np.testing.assert_allclose(gauss_2f1(a, b, c, z), float(mp.hyp2f1(a, b, c, z)), rtol=1e-10)
+
+
+_GAP_OFFSETS = st.just(0.0) | st.builds(
+    lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -2.0)
+)
+
+
+def _condition(a, b, c, z):
+    """sum over p = a, b, c of |p dF/dp| for F = 2F1(a, b; c; z), by mpmath
+    central differences: what a relative move of the parameters by 1 does
+    to F, to first order."""
+    total = 0.0
+    for i in range(3):
+        args = [mp.mpf(a), mp.mpf(b), mp.mpf(c)]
+        p = args[i]
+        h = abs(p) * mp.mpf(10) ** -15
+        if h:
+            args[i] = p + h
+            up = mp.hyp2f1(*args, z)
+            args[i] = p - h
+            total += float(abs(p * (up - mp.hyp2f1(*args, z)) / (2 * h)))
+    return total
+
+
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.integers(-2, 3),
+    _GAP_OFFSETS,
+    st.floats(-8.0, math.log10(0.5)),
+)
+@settings(max_examples=200, deadline=None)
+def test_2f1_against_mpmath_across_gap_offsets(a, b, m, delta, log_w):
+    # z = 1 - w from 1/2 to 1 - 1e-8, c - a - b = m + delta.  Within 1e-4 of
+    # a pole of c the value can lose more (test_2f1_beside_a_pole_of_c and
+    # CHANGES.md)
+    c, z = a + b + m + delta, 1.0 - 10.0**log_w
+    assume(abs(c - min(round(c), 0)) >= 1e-4)
+    try:
+        got = gauss_2f1(a, b, c, z)
+    except KoberError:
+        return
+    with mp.workdps(40):
+        want = float(mp.hyp2f1(a, b, c, z))
+        if abs(want) >= 1e-8 and abs(got - want) > 1e-10 * abs(want):
+            # near a zero of F, or with a or b beside a nonpositive integer,
+            # the value is as good as its condition: F at parameters moved by
+            # 1e-12 relative (the scans in CHANGES.md)
+            kappa = _condition(a, b, c, z)
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-12 * kappa, (got, want, kappa)
+
+
+@pytest.mark.xfail(strict=True, reason="c beside a pole: see CHANGES.md")
+def test_2f1_beside_a_pole_of_c():
+    # c 1e-5 from 0, b 1e-7 from -3: off by 1.5e-9 relative, where moving
+    # a, b and c by 1e-12 relative moves F by 2e-12
+    a, b, c, z = -1e-05, -2.9999999, -9.876879988219515e-06, 0.999997540598028
+    np.testing.assert_allclose(gauss_2f1(a, b, c, z), float(mp.hyp2f1(a, b, c, z)), rtol=1e-10)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "a, b, m, z", [(0.7, -0.4, 1, 0.999), (1.3, 0.45, 0, 0.95), (-1.6, 2.2, 2, 1.0 - 1e-6)]
+)
+def test_2f1_regimes_agree_at_the_gap_switch(a, b, m, z, side):
+    # just inside GAP_DELTA the polynomial in delta answers, just outside the
+    # connection formula does
+    inner = gauss_2f1(a, b, a + b + m + side * GAP_DELTA * (1.0 - 1e-9), z)
+    outer = gauss_2f1(a, b, a + b + m + side * GAP_DELTA * (1.0 + 1e-9), z)
+    np.testing.assert_allclose(inner, outer, rtol=1e-11)
 
 
 @given(st.floats(0.3, 1.5), st.floats(0.2, 1.2), st.floats(0.0, 2.0), st.floats(0.3, 2.0))
