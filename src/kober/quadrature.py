@@ -15,10 +15,12 @@ import numpy as np
 from .errors import DomainError, QuadratureNotConverged
 
 
-# joint-grid evaluators (multivariable operators, the p = 1 tensor transform)
-# build and contract their grids in slabs of at most this many entries, so
-# each slab's temporaries stay cache-sized
-CHUNK_ENTRIES = 1 << 18
+# joint-grid evaluators (multivariable operators, the p = 1 tensor transform
+# of callbacks) build and contract their grids in slabs of at most this many
+# entries, 512 kB of float64, so each slab and its temporaries stay in cache;
+# one k = 3 joint-grid call raises a process's peak memory by about 2 MB at
+# this size and 6 MB at 2^18
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,12 @@ def spd_check(a):
 
 
 def require_spd(a, what="matrix"):
+    """a symmetrized, after checking it is symmetric and positive definite;
+    the result needs no further check (sym_sqrt(..., check=False))."""
     a = require_symmetric(a)
-    chk = spd_check(a)
-    if not chk.is_pd:
-        raise NotPositiveDefinite(
-            f"{what} is not positive definite (min eigenvalue {chk.min_eigenvalue:.3e})"
-        )
+    mn = float(np.linalg.eigvalsh(a).min())
+    if not mn > 0.0:
+        raise NotPositiveDefinite(f"{what} is not positive definite (min eigenvalue {mn:.3e})")
     return a
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kober.scalar_ops as so
-from kober import smallmat
+from kober import matrix_ops, mtransform, smallmat
 from kober.errors import DomainError, KoberError, MomentDivergence, ProposalDomainError
 from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
@@ -414,3 +414,126 @@ def test_factor_summaries_match_dense_value(p, k):
                 f.value([0.5 * v for v in dense]),
                 rtol=1e-12,
             )
+
+
+# ---------------------------------------------------------------------------
+# batched streams against drawing each stream alone
+
+
+def _per_stream_expectation(vals_fn, mc, scale=1.0):
+    """The estimate drawn stream by stream: each RngStream's own generator
+    goes to vals_fn, chunk by chunk, as if no stream were batched."""
+    n_each = -(-mc.n_samples // mc.n_streams)
+    means, max_abs, sum_abs = [], 0.0, 0.0
+    for i in range(mc.n_streams):
+        rng = RngStream(mc.seed, i).generator()
+        total = 0.0
+        for start in range(0, n_each, matrix_ops.MAX_CHUNK):
+            vals = np.asarray(vals_fn(rng, min(matrix_ops.MAX_CHUNK, n_each - start)))
+            assert np.all(np.isfinite(vals))
+            total += float(vals.sum())
+            max_abs = max(max_abs, float(np.abs(vals).max()))
+            sum_abs += float(np.abs(vals).sum())
+        means.append(total / n_each)
+    return matrix_ops._aggregate(means, scale, n_each * mc.n_streams, max_abs, sum_abs)
+
+
+def assert_same_as_per_stream(monkeypatch, run):
+    batched = run()
+    with monkeypatch.context() as mp:
+        for mod in (matrix_ops, mtransform):
+            mp.setattr(mod, "_mc_expectation", _per_stream_expectation)
+        alone = run()
+    assert batched == alone  # value, se and n, bit for bit
+    return batched
+
+
+def _operator_case(kind, p, k, rng):
+    bound = (p - 1) / 2.0
+    pairs = tuple(
+        (bound + float(rng.uniform(0.9, 2.0)), bound + float(rng.uniform(0.3, 1.5)))
+        for _ in range(k)
+    )
+    lams = [float(rng.uniform(-0.6, 0.0) if kind == "second" else rng.uniform(0.0, 1.0))
+            for _ in range(k)]
+    us = []
+    for _ in range(k):
+        g = rng.standard_normal((p, p))
+        us.append(g @ g.T / p + 0.5 * np.eye(p))
+    return MatrixOpParams(kind, p, k, pairs), det_power(p, lams), tuple(us)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_operator_matches_per_stream(monkeypatch, kind, p, k):
+    # 10 000 draws over 16 streams: 625 per stream, batches of 6, 6 and 4
+    params, f, us = _operator_case(kind, p, k, np.random.default_rng([p, k, kind == "first"]))
+    op = kober_matrix_first if kind == "first" else kober_matrix_second
+    mc = MCConfig(n_samples=10000, seed=60 + 3 * p + k)
+    assert_same_as_per_stream(monkeypatch, lambda: op(params, f, us, mc))
+
+
+def test_batched_reweighted_slot_and_callback_match_per_stream(monkeypatch):
+    # slot 1 has zeta below (p-1)/2 and takes the reweighted proposal
+    params = MatrixOpParams("second", 2, 2, ((0.2, 1.3), (1.4, 0.9)))
+    us = (U22, np.eye(2))
+    mc = MCConfig(n_samples=8000, seed=71)
+    assert_same_as_per_stream(
+        monkeypatch, lambda: kober_matrix_second(params, exp_neg_trace(2, 2), us, mc)
+    )
+    f = matrix_callback(2, lambda v1, v2: np.exp(-v1[..., 0, 0] - v2[..., 1, 1]), k=2)
+    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_second(params, f, us, mc))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_batched_transform_routes_match_per_stream(monkeypatch, p):
+    params = MatrixOpParams("second", p, 1, ((p / 2.0 + 2.5, p / 2.0 + 0.2),))
+    f = exp_neg_trace(p, 1)
+    mc = MCConfig(n_samples=6000, seed=80 + p)
+    for route in (mtransform.mtransform_mc, mtransform.mtransform_mc_operator):
+        assert_same_as_per_stream(monkeypatch, lambda: route(params, f, p / 2.0 + 0.6, mc))
+
+
+def test_partial_last_batch_and_uneven_split_match_per_stream(monkeypatch):
+    params, f, us = _operator_case("first", 2, 2, np.random.default_rng(90))
+    # 1000 draws per stream: one batch of 4 streams, then a batch of 1
+    mc = MCConfig(n_samples=5000, n_streams=5, seed=91)
+    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_first(params, f, us, mc))
+    # 10 001 draws over 16 streams: rounded up to 626 each
+    mc = MCConfig(n_samples=10001, seed=92)
+    est = assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_first(params, f, us, mc))
+    assert est.n == 16 * 626
+
+
+def test_oversized_stream_is_drawn_in_chunks(monkeypatch):
+    # 10 000 draws per stream exceed BATCH_DRAWS: each stream is a batch of
+    # its own, drawn in chunks of 3000, 3000, 3000 and 1000
+    monkeypatch.setattr(matrix_ops, "MAX_CHUNK", 3000)
+    calls = []
+    real = matrix_ops.StreamBatch
+
+    def spy(gens, n):
+        calls.append((len(gens), n))
+        return real(gens, n)
+
+    monkeypatch.setattr(matrix_ops, "StreamBatch", spy)
+    params, f, us = _operator_case("second", 2, 1, np.random.default_rng(93))
+    mc = MCConfig(n_samples=20000, n_streams=2, seed=94)
+    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_second(params, f, us, mc))
+    assert calls == [(1, 3000), (1, 3000), (1, 3000), (1, 1000)] * 2
+
+
+def test_non_finite_value_in_a_later_stream_of_a_batch_raises():
+    # 4 streams of 1000 draws are one batch; only the batch's last value,
+    # which belongs to its last stream, is infinite
+    def fn(v):
+        out = np.exp(-v[..., 0, 0])
+        out[-1] = np.inf
+        return out
+
+    params = MatrixOpParams("first", 1, 1, ((1.0, 1.5),))
+    with pytest.raises(MomentDivergence):
+        kober_matrix_first(
+            params, matrix_callback(1, fn), (np.eye(1),), MCConfig(n_samples=4000, n_streams=4)
+        )

@@ -8,6 +8,7 @@ from kober.randmat import (
     BetaMatParams,
     DirichletChainParams,
     RngStream,
+    StreamBatch,
     inverse_dirichlet_chain,
     matrix_beta_det_moment,
     sample_dirichlet_chain,
@@ -22,6 +23,15 @@ def mean_within(values, expect, k=3.0):
     values = np.asarray(values, dtype=float)
     se = values.std(ddof=1) / np.sqrt(len(values))
     assert abs(values.mean() - expect) < k * se, (values.mean(), expect, se)
+
+
+def test_stream_batch_concatenates_each_streams_own_draws():
+    batch = StreamBatch([RngStream(42, i).generator() for i in range(3)], 5)
+    got = sample_wishart(2, 5.0, batch, size=15)
+    alone = [sample_wishart(2, 5.0, RngStream(42, i), size=5) for i in range(3)]
+    assert np.array_equal(got, np.concatenate(alone))
+    with pytest.raises(DomainError):
+        sample_wishart(2, 5.0, batch, size=10)
 
 
 def test_streams_reproduce_bit_for_bit():
