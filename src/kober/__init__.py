@@ -48,9 +48,7 @@ from .mtransform import (
 from .quadrature import QuadConfig
 from .randmat import (
     BetaMatParams,
-    DirichletChainParams,
     RngStream,
-    inverse_dirichlet_chain,
     matrix_beta_det_moment,
     sample_dirichlet_chain,
     sample_matrix_beta,

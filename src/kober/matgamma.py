@@ -14,6 +14,9 @@ from .errors import DimensionMismatch, DomainError, RatioOverflow
 # the largest matrix dimension p of the samplers, operators and SPD helpers
 # (desk scale); the matrix gamma function itself takes any p >= 1
 MAX_DIM = 3
+# the largest number of arguments (slots) of a multivariable operator, matrix
+# or scalar (desk scale)
+MAX_SLOTS = 3
 
 
 def check_dim(p):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import ChainDomainError, DomainError, MomentDivergence, ProposalDomainError
-from .matgamma import GammaRatioSpec, check_dim, checked_exp, gamma_ratio, ln_gamma_p
+from .matgamma import MAX_SLOTS, GammaRatioSpec, check_dim, checked_exp, gamma_ratio, ln_gamma_p
 from .randmat import (
     DEFAULT_SEED,
     BetaMatParams,
@@ -24,7 +24,7 @@ from .randmat import (
     StreamBatch,
     _resolve_rng,
     matrix_beta_factor,
-    sample_wishart,
+    wishart_factor,
 )
 from .spd import require_spd, sym_sqrt
 
@@ -49,8 +49,8 @@ class MatrixOpParams:
         if self.kind not in ("first", "second"):
             raise DomainError(f"kind must be 'first' or 'second', got {self.kind!r}")
         check_dim(self.p)
-        if not 1 <= self.k <= 3:
-            raise DomainError(f"number of matrix arguments k={self.k} outside 1..3")
+        if not 1 <= self.k <= MAX_SLOTS:
+            raise DomainError(f"number of matrix arguments k={self.k} outside 1..{MAX_SLOTS}")
         if len(self.pairs) != self.k:
             raise DomainError(f"need {self.k} (zeta, alpha) pairs, got {len(self.pairs)}")
         bound = (self.p - 1) / 2.0
@@ -215,15 +215,23 @@ class MatrixTestFunction:
         return self.mellin(((self.p + 1) / 2.0,) * self.k)
 
     def sampler(self):
-        """Returns draw(stream_or_rng, size) -> list of (n, p, p) following the
-        normalized density f / normalizer, V_j ~ Wishart(2 (a_j + (p+1)/2), I)
-        / (2 b), or None for callbacks and b = 0."""
+        """Returns draw(stream_or_rng, size) -> per slot the lower-triangular
+        factor C_j, a smallmat stack of size members, of V_j = C_j C_j'
+        following the normalized density f / normalizer: C_j is the Bartlett
+        factor of Wishart(2 (a_j + (p+1)/2), I) over sqrt(2 b).  None for
+        callbacks and b = 0."""
         if self.fn is not None or not self.b:
             return None
         dfs = [2.0 * (a + (self.p + 1) / 2.0) for a in self.a]
+        scale = 1.0 / math.sqrt(2.0 * self.b)
 
         def draw(stream, size):
-            return [sample_wishart(self.p, d, stream, size) / (2.0 * self.b) for d in dfs]
+            rng = _resolve_rng(stream)
+            return [
+                [[None if x is None else x * scale for x in row]
+                 for row in wishart_factor(self.p, d, rng, size)]
+                for d in dfs
+            ]
 
         return draw
 
@@ -372,23 +380,27 @@ def _mc_expectation(vals_fn, mc, scale=1.0):
 # the operators
 
 
-def _proposal_for_second(p, zeta, alpha):
-    """Beta proposal and reweighting power for one second-kind slot."""
-    bound = (p - 1) / 2.0
-    if zeta > bound:
-        return BetaMatParams(p, zeta, alpha), 0.0
-    shift = (p + 1) / 2.0
-    if zeta + shift <= bound:
-        raise ProposalDomainError(
-            f"zeta={zeta} is below the reweighted proposal domain at p={p}"
-        )
-    # reweight from beta(zeta+shift, alpha) with |W|^(-shift) weights
-    return BetaMatParams(p, zeta + shift, alpha), shift
+def _proposals(params):
+    """Per slot the beta proposal and the power of |W| that reweights it.
+    First kind: beta(z+(p+1)/2, alpha).  Second kind: beta(z, alpha), or,
+    for z <= (p-1)/2, beta(z+(p+1)/2, alpha) with |W|^(-(p+1)/2) weights
+    (MatrixOpParams refuses a z at which that proposal fails too)."""
+    shift = (params.p + 1) / 2.0
+    out = []
+    for zeta, alpha in params.pairs:
+        if params.kind == "second" and zeta > (params.p - 1) / 2.0:
+            out.append((BetaMatParams(params.p, zeta, alpha), 0.0))
+        else:
+            power = shift if params.kind == "second" else 0.0
+            out.append((BetaMatParams(params.p, zeta + shift, alpha), power))
+    return out
 
 
-def _operator_arguments(kind, params, f, U):
-    """Per slot the root U^(1/2) as a smallmat matrix and log|U|, for an
-    operator of the given kind."""
+def _kober_matrix(kind, params, f, U, mc):
+    """The operator of the given kind at (U_1..U_k): the Gamma_p ratio of the
+    slots' beta proposals times the mean of f at the mapped beta draws,
+    each draw weighted by its slot's |W|^(-power).  Each slot's U enters as
+    its root U^(1/2) and log|U|."""
     if params.kind != kind:
         raise DomainError(f"params.kind must be {kind!r}")
     U = [require_spd(u, "operator argument") for u in U]
@@ -396,9 +408,33 @@ def _operator_arguments(kind, params, f, U):
         raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
+    mc = mc or MCConfig()
     roots = [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
     log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
-    return roots, log_u
+    props = _proposals(params)
+    scale = gamma_ratio(GammaRatioSpec(
+        params.p, tuple(prm.a for prm, _ in props), tuple(prm.a + prm.b for prm, _ in props)
+    ))
+
+    def vals_fn(rng, m):
+        ks = [matrix_beta_factor(prm, rng, m) for prm, _ in props]
+        if kind == "first":
+            out = _f_of_factors(
+                f, (m,),
+                lambda j: smallmat.matmul(roots[j], ks[j]),
+                lambda j: log_u[j] + smallmat.logdet(ks[j]),
+            )
+        else:
+            out = _f_second_kind(f, m, roots, log_u, ks, 1.0)
+        logw = 0.0
+        for (_, power), k in zip(props, ks):
+            if power:
+                logw = logw - power * smallmat.logdet(k)
+        if isinstance(logw, np.ndarray):
+            out = out * np.exp(logw)
+        return out
+
+    return _mc_expectation(vals_fn, mc, scale=scale)
 
 
 def kober_matrix_second(params, f, U, mc=None):
@@ -409,25 +445,7 @@ def kober_matrix_second(params, f, U, mc=None):
     W^(-1) and |W| come from the triangular factor K of each beta draw, so
     V = C C' with C = U^(1/2) K^(-T) and log|V| = log|U| - log|W|.
     """
-    mc = mc or MCConfig()
-    roots, log_u = _operator_arguments("second", params, f, U)
-    props = [_proposal_for_second(params.p, zeta, alpha) for zeta, alpha in params.pairs]
-    scale = gamma_ratio(GammaRatioSpec(
-        params.p, tuple(prm.a for prm, _ in props), tuple(prm.a + prm.b for prm, _ in props)
-    ))
-
-    def vals_fn(rng, m):
-        ks = [matrix_beta_factor(prm, rng, m) for prm, _ in props]
-        out = _f_second_kind(f, m, roots, log_u, ks, 1.0)
-        logw = 0.0
-        for (_, shift), k in zip(props, ks):
-            if shift:
-                logw = logw - shift * smallmat.logdet(k)
-        if isinstance(logw, np.ndarray):
-            out = out * np.exp(logw)
-        return out
-
-    return _mc_expectation(vals_fn, mc, scale=scale)
+    return _kober_matrix("second", params, f, U, mc)
 
 
 def kober_matrix_first(params, f, U, mc=None):
@@ -438,23 +456,7 @@ def kober_matrix_first(params, f, U, mc=None):
     With W = K K' from the beta factor, V = C C' with C = U^(1/2) K and
     log|V| = log|U| + log|W|.
     """
-    mc = mc or MCConfig()
-    roots, log_u = _operator_arguments("first", params, f, U)
-    shift = (params.p + 1) / 2.0
-    props = [BetaMatParams(params.p, zeta + shift, alpha) for zeta, alpha in params.pairs]
-    scale = gamma_ratio(GammaRatioSpec(
-        params.p, tuple(prm.a for prm in props), tuple(prm.a + prm.b for prm in props)
-    ))
-
-    def vals_fn(rng, m):
-        ks = [matrix_beta_factor(prm, rng, m) for prm in props]
-        return _f_of_factors(
-            f, (m,),
-            lambda j: smallmat.matmul(roots[j], ks[j]),
-            lambda j: log_u[j] + smallmat.logdet(ks[j]),
-        )
-
-    return _mc_expectation(vals_fn, mc, scale=scale)
+    return _kober_matrix("first", params, f, U, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +492,15 @@ def density_constant(params, chain=None):
 
 def _density_mode_factors(params, f_sampler, stream, size, chain):
     """The draws of density_mode_sample as factors: per slot (C, B, log|U|)
-    with U = C B B' C', C the Cholesky factor of V and B the triangular
-    factor of Y (second kind) or of Y^(-1) (first kind)."""
+    with U = C B B' C', C the factor of V from f_sampler and B the
+    triangular factor of Y (second kind) or of Y^(-1) (first kind)."""
     shapes = _beta_shapes(params, chain)
     rng = _resolve_rng(stream)
-    vs = f_sampler(rng, size)
-    if len(vs) != params.k:
-        raise DomainError(f"f_sampler returned {len(vs)} blocks, need {params.k}")
+    cs = f_sampler(rng, size)
+    if len(cs) != params.k:
+        raise DomainError(f"f_sampler returned {len(cs)} blocks, need {params.k}")
     out = []
-    for (a, b), v in zip(shapes, vs):
-        c = smallmat.cholesky(smallmat.entries(v))
+    for (a, b), c in zip(shapes, cs):
         k = matrix_beta_factor(BetaMatParams(params.p, a, b), rng, size)
         if params.kind == "second":
             out.append((c, k, smallmat.logdet(c) + smallmat.logdet(k)))
@@ -511,12 +512,13 @@ def _density_mode_factors(params, f_sampler, stream, size, chain):
 def density_mode_sample(params, f_sampler, stream, size, chain=None):
     """Draws (U_1..U_k) from the density proportional to the operator output.
 
-    f_sampler(stream, size) -> list of V_j draws from the normalized f.
+    f_sampler(stream, size) -> per slot the lower-triangular factor C_j, a
+    smallmat stack, of V_j = C_j C_j' drawn from the normalized f (as
+    MatrixTestFunction.sampler returns).
     Second kind: U_j = C_j Y_j C_j', Y_j ~ beta(z_j+(p+1)/2, b_j);
-    first kind:  U_j = C_j Y_j^(-1) C_j', Y_j ~ beta(z_j, a_j);
-    C_j is the Cholesky factor of V_j.  C_j = V_j^(1/2) H_j with H_j
-    orthogonal, and the beta law is invariant under Y -> H'YH, so U_j has the
-    law of V_j^(1/2) Y_j V_j^(1/2).
+    first kind:  U_j = C_j Y_j^(-1) C_j', Y_j ~ beta(z_j, a_j).
+    C_j = V_j^(1/2) H_j with H_j orthogonal, and the beta law is invariant
+    under Y -> H'YH, so U_j has the law of V_j^(1/2) Y_j V_j^(1/2).
     """
     return [
         smallmat.stack(smallmat.congruence(c, b))

@@ -15,8 +15,6 @@ from . import smallmat
 from .errors import ChainDomainError, DomainError
 from .matgamma import check_dim, ln_gamma_p
 from .spd import _chain_forward
-# the inverse chain map, under its sampler-side name
-from .spd import dirichlet_chain_inverse as inverse_dirichlet_chain  # noqa: F401
 
 DEFAULT_SEED = 0xE4DE17
 
@@ -77,26 +75,6 @@ class BetaMatParams:
             raise DomainError(
                 f"beta shapes ({self.a}, {self.b}) must both exceed (p-1)/2 = {bound}"
             )
-
-
-@dataclass(frozen=True)
-class DirichletChainParams:
-    """Inputs of the chain decomposition: per-variable zeta plus either a
-    generalized beta list or the single trailing zeta of the plain family."""
-
-    p: int
-    k: int
-    zeta: tuple
-    beta: tuple | None = None
-    zeta_tail: float | None = None
-
-    def __post_init__(self):
-        if len(self.zeta) != self.k:
-            raise ChainDomainError(f"need {self.k} zeta values, got {len(self.zeta)}")
-        if self.beta is not None and len(self.beta) != self.k:
-            raise ChainDomainError(f"need {self.k} beta values, got {len(self.beta)}")
-        if self.beta is not None and self.zeta_tail is not None:
-            raise ChainDomainError("give either beta (generalized) or zeta_tail, not both")
 
 
 def _resolve_rng(stream):

@@ -25,6 +25,7 @@ from .errors import (
     NonDifferentiable,
     TailDivergence,
 )
+from .matgamma import MAX_SLOTS
 from .quadrature import (
     EXACT_ZERO,
     QuadConfig,
@@ -38,8 +39,6 @@ from .quadrature import (
     roots_laguerre,  # noqa: F401  (re-exported: Gauss-Laguerre builds are timed under this name)
     scipy_special,
 )
-
-MAX_VARS = 3
 
 # scipy's ufuncs, not math.gamma: the output bits stay those of scipy
 _gamma = scipy_special("gamma")
@@ -621,10 +620,10 @@ def _central_derivative(g, x, m, q):
     """The mixed partial of orders m of g at the point x (one entry per
     variable) by tensor central differences, with one Richardson step per
     variable, the first innermost.  The step of variable j is
-    (1 + |x_j|) rel_tol^(1/(m_j+4)), at most x_j/(m_j+2) so that every node
-    stays positive."""
+    |x_j| rel_tol^(1/(m_j+4)), scaled to x_j because g may have a branch
+    point at 0, and at most x_j/(m_j+2) so that every node stays positive."""
     h = [
-        min((1.0 + abs(xj)) * q.rel_tol ** (1.0 / (mj + 4)), xj / (mj + 2.0))
+        min(abs(xj) * q.rel_tol ** (1.0 / (mj + 4)), xj / (mj + 2.0))
         for xj, mj in zip(x, m)
     ]
 
@@ -691,8 +690,8 @@ def _check_multivar(u, zeta, alpha):
     zeta = [float(z) for z in np.atleast_1d(zeta)]
     alpha = [float(a) for a in np.atleast_1d(alpha)]
     k = len(u)
-    if not 1 <= k <= MAX_VARS:
-        raise DomainError(f"number of variables must be 1..{MAX_VARS}, got {k}")
+    if not 1 <= k <= MAX_SLOTS:
+        raise DomainError(f"number of variables must be 1..{MAX_SLOTS}, got {k}")
     if len(zeta) != k or len(alpha) != k:
         raise DomainError("zeta and alpha must match the number of evaluation points")
     for x in u:

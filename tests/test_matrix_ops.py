@@ -87,6 +87,16 @@ def test_params_validation():
         MCConfig(n_samples=100)
 
 
+def test_operators_refuse_the_other_kind():
+    first = MatrixOpParams("first", 2, 1, ((1.5, 1.5),))
+    second = MatrixOpParams("second", 2, 1, ((1.5, 1.5),))
+    f = exp_neg_trace(2)
+    with pytest.raises(DomainError):
+        kober_matrix_first(second, f, [U22])
+    with pytest.raises(DomainError):
+        kober_matrix_second(first, f, [U22])
+
+
 # ---------------------------------------------------------------------------
 # estimators against closed forms
 
@@ -257,10 +267,16 @@ def test_sampler_matches_declared_density():
     # draws from det_power_times_exp should reproduce its M-transform ratio
     f = det_power_times_exp(2, 3.0)
     vs = f.sampler()(RngStream(16), 200000)
-    d = np.linalg.det(vs[0])
+    d = np.exp(smallmat.logdet(vs[0]))
     expect = f.mellin(2.5) / f.normalizer()  # E|V|^1
     se = d.std(ddof=1) / math.sqrt(len(d))
     assert abs(d.mean() - expect) < 3.0 * se
+
+
+def test_sampler_slots_draw_apart_from_one_stream():
+    # one RngStream feeds every slot; each slot must not restart it
+    cs = exp_neg_trace(2, 2).sampler()(RngStream(1), 5)
+    assert not np.array_equal(smallmat.stack(cs[0]), smallmat.stack(cs[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,49 @@ def test_derivative_power_times_exp_stencil():
     np.testing.assert_allclose(val, expect, rtol=1e-5)
 
 
+def _mp_derivative_damped_cosine(x, alpha, rate, freq):
+    # D^a f = I^(m-a) f^(m) + sum_{i<m} f^(i)(0) x^(i-a) / Gamma(i+1-a) for
+    # f = e^(-rate v) (2 + cos(freq v)), with f^(n) in closed form; the
+    # integral is taken in u = (x - t)^(m-a), which removes its endpoint
+    # singularity
+    with mp.workdps(40):
+        r, x, alpha = mp.mpf(rate), mp.mpf(x), mp.mpf(alpha)
+        z = mp.mpc(-r, freq)
+        m = int(mp.floor(alpha)) + 1
+        beta = m - alpha
+
+        def deriv(n, t):
+            return 2 * (-r) ** n * mp.exp(-r * t) + mp.re(z**n * mp.exp(z * t))
+
+        head = mp.quad(lambda u: deriv(m, x - u ** (1 / beta)), [0, x**beta])
+        head /= beta * mp.gamma(beta)
+        tail = sum(deriv(i, 0) * x ** (i - alpha) / mp.gamma(i + 1 - alpha) for i in range(m))
+        return float(head + tail)
+
+
+@pytest.mark.parametrize(
+    "x, alpha",
+    [
+        (0.3196855883331926, 1.8589480972216357),
+        (0.02, 0.5),
+        (0.05, 1.3),
+        (0.1, 1.95),
+        (0.3, 0.9),
+        (0.7, 1.7),
+        (1.0, 0.4),
+        (2.0, 1.85),
+        (3.5, 1.1),
+        (5.0, 0.7),
+    ],
+)
+def test_derivative_callback_near_the_origin_against_mpmath(x, alpha):
+    # the difference step scales with x: I^(m-a) f has a branch point at 0
+    rate, freq = 1.7607138101729745, 1.7353170016172448
+    f = callback(lambda v: np.exp(-rate * v) * (2.0 + np.cos(freq * v)), smooth_order=4)
+    want = _mp_derivative_damped_cosine(x, alpha, rate, freq)
+    np.testing.assert_allclose(frac_derivative(f, x, alpha=alpha), want, rtol=1e-5)
+
+
 def test_derivative_requires_declared_smoothness():
     with pytest.raises(NonDifferentiable):
         frac_derivative(callback(lambda v: v), 1.0, alpha=0.5)
