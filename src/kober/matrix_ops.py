@@ -6,6 +6,12 @@ variables W = U^(1/2) V^(-1) U^(1/2) (second kind) or W = U^(-1/2) V U^(-1/2)
 kernel becomes a type-1 matrix-beta density up to a gamma-ratio constant.
 The estimator is therefore unbiased with the proposal normalization supplying
 the constant, and errors come only from Monte Carlo noise.
+
+A law that reads only log|V_j| (det_power: b = 0, no callback) needs only
+log|W_j| of each beta draw, and log|V_j| = log|U_j| +- log|W_j|.  Such an
+estimate draws log|W_j| as a sum of p univariate beta logs (Muirhead 1982,
+Thm 3.3.3; randmat.matrix_beta_logdet) and forms no W.  Every other law and
+every callback draws the triangular beta factor K_j of W_j = K_j K_j'.
 """
 
 import math
@@ -24,6 +30,7 @@ from .randmat import (
     StreamBatch,
     _resolve_rng,
     matrix_beta_factor,
+    matrix_beta_logdet,
     wishart_factor,
 )
 from .spd import require_spd, sym_sqrt
@@ -163,7 +170,8 @@ class MatrixTestFunction:
     def law(self, logdet, trace, shape):
         """The law from per-slot summaries: logdet(j) = log|V_j| and
         trace(j) = tr V_j, each called only where its coefficient is
-        nonzero; shape is the broadcast leading shape of the slots."""
+        nonzero, so trace may be None when b = 0; shape is the broadcast
+        leading shape of the slots."""
         logs = self.k * self.c
         for j, a in enumerate(self.a):
             if a:
@@ -400,7 +408,7 @@ def _kober_matrix(kind, params, f, U, mc):
     """The operator of the given kind at (U_1..U_k): the Gamma_p ratio of the
     slots' beta proposals times the mean of f at the mapped beta draws,
     each draw weighted by its slot's |W|^(-power).  Each slot's U enters as
-    its root U^(1/2) and log|U|."""
+    log|U| and, off the determinant route, its root U^(1/2)."""
     if params.kind != kind:
         raise DomainError(f"params.kind must be {kind!r}")
     U = [require_spd(u, "operator argument") for u in U]
@@ -409,29 +417,42 @@ def _kober_matrix(kind, params, f, U, mc):
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     mc = mc or MCConfig()
-    roots = [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
+    # a law without a trace term reads log|V_j| = log|U_j| +- log|W_j| only
+    det_only = f.fn is None and not f.b
+    roots = None if det_only else [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
     log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
+    sign = 1.0 if kind == "first" else -1.0
     props = _proposals(params)
     scale = gamma_ratio(GammaRatioSpec(
         params.p, tuple(prm.a for prm, _ in props), tuple(prm.a + prm.b for prm, _ in props)
     ))
 
     def vals_fn(rng, m):
-        ks = [matrix_beta_factor(prm, rng, m) for prm, _ in props]
-        if kind == "first":
-            out = _f_of_factors(
-                f, (m,),
-                lambda j: smallmat.matmul(roots[j], ks[j]),
-                lambda j: log_u[j] + smallmat.logdet(ks[j]),
-            )
+        # logw(j) = log|W_j| of slot j's beta draws: from p univariate betas
+        # on the determinant route, else from the beta factor K_j
+        if det_only:
+            logw = [matrix_beta_logdet(prm, rng, m) for prm, _ in props].__getitem__
+            out = f.law(lambda j: log_u[j] + sign * logw(j), None, (m,))
         else:
-            out = _f_second_kind(f, m, roots, log_u, ks, 1.0)
-        logw = 0.0
-        for (_, power), k in zip(props, ks):
+            ks = [matrix_beta_factor(prm, rng, m) for prm, _ in props]
+
+            def logw(j):
+                return smallmat.logdet(ks[j])
+
+            if kind == "first":
+                out = _f_of_factors(
+                    f, (m,),
+                    lambda j: smallmat.matmul(roots[j], ks[j]),
+                    lambda j: log_u[j] + logw(j),
+                )
+            else:
+                out = _f_second_kind(f, m, roots, log_u, ks, 1.0)
+        weight = 0.0
+        for j, (_, power) in enumerate(props):
             if power:
-                logw = logw - power * smallmat.logdet(k)
-        if isinstance(logw, np.ndarray):
-            out = out * np.exp(logw)
+                weight = weight - power * logw(j)
+        if isinstance(weight, np.ndarray):
+            out = out * np.exp(weight)
         return out
 
     return _mc_expectation(vals_fn, mc, scale=scale)
@@ -442,8 +463,10 @@ def kober_matrix_second(params, f, U, mc=None):
 
     Each slot reduces exactly to an expectation over W_j ~ matrix-beta:
     value = prod_j Gamma_p(z_j)/Gamma_p(z_j+a_j) * E[ f(U^(1/2) W^(-1) U^(1/2)) ].
+    For det_power only log|V| = log|U| - log|W| is needed, and log|W| is
+    drawn from p univariate betas (Muirhead 1982, Thm 3.3.3).  Otherwise
     W^(-1) and |W| come from the triangular factor K of each beta draw, so
-    V = C C' with C = U^(1/2) K^(-T) and log|V| = log|U| - log|W|.
+    V = C C' with C = U^(1/2) K^(-T).
     """
     return _kober_matrix("second", params, f, U, mc)
 
@@ -453,8 +476,9 @@ def kober_matrix_first(params, f, U, mc=None):
 
     value = prod_j Gamma_p(z_j+(p+1)/2)/Gamma_p(z_j+(p+1)/2+a_j)
             * E[ f(U^(1/2) W U^(1/2)) ], W_j ~ matrix-beta(z_j+(p+1)/2, a_j).
-    With W = K K' from the beta factor, V = C C' with C = U^(1/2) K and
-    log|V| = log|U| + log|W|.
+    For det_power only log|V| = log|U| + log|W| is needed, and log|W| is
+    drawn from p univariate betas (Muirhead 1982, Thm 3.3.3).  Otherwise
+    W = K K' comes from the beta factor, and V = C C' with C = U^(1/2) K.
     """
     return _kober_matrix("first", params, f, U, mc)
 

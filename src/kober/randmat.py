@@ -4,7 +4,9 @@ All samplers are pure functions of an RngStream value: identical (seed,
 stream_id) pairs reproduce identical draws.  Batches are stacked along the
 leading axis with shape (n, p, p); wishart_factor and matrix_beta_factor
 return the lower-triangular factors of the draws as smallmat stacks, from
-which inverses and log-determinants follow without a decomposition.
+which inverses and log-determinants follow without a decomposition, and
+matrix_beta_logdet draws log|X| of a matrix-beta X alone, from p univariate
+betas.
 """
 
 from dataclasses import dataclass
@@ -130,6 +132,26 @@ def matrix_beta_factor(params, stream, size=1):
     # S1 + S2 is the Gram product of the p x 2p block row [T1 T2]
     s = smallmat.gram([r1 + r2 for r1, r2 in zip(t1, t2)])
     return smallmat.matmul(smallmat.tri_inv(smallmat.cholesky(s)), t1)
+
+
+def matrix_beta_logdet(params, stream, size=1):
+    """log|X| of type-1 matrix-beta draws X ~ beta_p(a, b), without X.
+
+    |X| has the law of u_1 ... u_p with u_i ~ beta(a - (i-1)/2, b)
+    independent (Muirhead 1982, Aspects of Multivariate Statistical Theory,
+    Thm 3.3.3), and each u_i is drawn as x_i / (x_i + y_i), x_i ~
+    chi2(2a - i + 1) and y_i ~ chi2(2b), in the order x_1, y_1, ..., x_p,
+    y_p.  The log u_i are summed rather than multiplied first: the last
+    u_i has first shape a - (p-1)/2, which may be near 0, and then
+    P(u_p < t) is about t^shape, so a product of p factors can underflow
+    to 0 where every factor, and so every log, is still finite.
+    """
+    rng = _resolve_rng(stream)
+    out = 0.0
+    for i in range(params.p):
+        x = rng.chisquare(2.0 * params.a - i, size=size)
+        out = out + np.log(x / (x + rng.chisquare(2.0 * params.b, size=size)))
+    return out
 
 
 def sample_matrix_beta(params, stream, size=1):

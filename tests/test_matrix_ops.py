@@ -347,14 +347,18 @@ def test_density_mode_sample_first_kind_moments():
     assert abs(d.mean() - expect) < 3.0 * se
 
 
+# a callback reads the dense V, and det(V) ** lam is inf or NaN where V is
+# singular or has lost definiteness
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_singular_beta_draw_is_a_kober_error():
     # zeta within 0.3 of (p-1)/2 gives beta draws whose W^(-1) is past the
-    # conditioning a dense V = U^(1/2) W^(-1) U^(1/2) can hold; each seed
-    # must either raise a KoberError (never a numpy LinAlgError) or return
-    # within 4 s.e. of Gamma_3(zeta-lam)/Gamma_3(zeta-lam+alpha)
+    # conditioning a dense V = U^(1/2) W^(-1) U^(1/2) can hold; a callback
+    # takes the factor route and gets that dense V, so each seed must either
+    # raise a KoberError (never a numpy LinAlgError) or return within 4 s.e.
+    # of Gamma_3(zeta-lam)/Gamma_3(zeta-lam+alpha)
     zeta, alpha, lam = 1.2723987583241692, 2.5964093921226046, -0.574512041226322
     prm = MatrixOpParams("second", 3, 1, ((zeta, alpha),))
-    f = det_power(3, (lam,))
+    f = matrix_callback(3, lambda v: np.linalg.det(v) ** lam)
     want = math.exp(ln_gamma_p(3, zeta - lam) - ln_gamma_p(3, zeta - lam + alpha))
     for seed in range(1, 9):
         try:
@@ -364,10 +368,10 @@ def test_singular_beta_draw_is_a_kober_error():
         within_se(est, want, k=4.0)
 
 
-def test_near_bound_second_kind_takes_log_det_from_factors():
-    # the input of test_singular_beta_draw_is_a_kober_error: log|V| comes
-    # from the beta factor, so a W with a tiny eigenvalue no longer makes the
-    # dense V singular; every seed must return within 4 s.e.
+def test_near_bound_second_kind_takes_log_det_from_univariate_betas():
+    # the input of test_singular_beta_draw_is_a_kober_error as det_power:
+    # log|W| comes from p univariate betas and no W is formed, so a W with
+    # a tiny eigenvalue costs nothing; every seed must return within 4 s.e.
     zeta, alpha, lam = 1.2723987583241692, 2.5964093921226046, -0.574512041226322
     prm = MatrixOpParams("second", 3, 1, ((zeta, alpha),))
     f = det_power(3, -0.574512041226322)
@@ -464,7 +468,9 @@ def assert_same_as_per_stream(monkeypatch, run):
     return batched
 
 
-def _operator_case(kind, p, k, rng):
+def _operator_case(kind, p, k, rng, law="det_power"):
+    """Operator inputs at (kind, p, k); law det_power (each estimate reads
+    log|V_j| only) or det_power_times_exp (the beta factor route)."""
     bound = (p - 1) / 2.0
     pairs = tuple(
         (bound + float(rng.uniform(0.9, 2.0)), bound + float(rng.uniform(0.3, 1.5)))
@@ -476,7 +482,11 @@ def _operator_case(kind, p, k, rng):
     for _ in range(k):
         g = rng.standard_normal((p, p))
         us.append(g @ g.T / p + 0.5 * np.eye(p))
-    return MatrixOpParams(kind, p, k, pairs), det_power(p, lams), tuple(us)
+    if law == "det_power":
+        f = det_power(p, lams)
+    else:
+        f = det_power_times_exp(p, [(p + 1) / 2.0 + abs(lam) for lam in lams])
+    return MatrixOpParams(kind, p, k, pairs), f, tuple(us)
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
@@ -488,6 +498,49 @@ def test_batched_operator_matches_per_stream(monkeypatch, kind, p, k):
     op = kober_matrix_first if kind == "first" else kober_matrix_second
     mc = MCConfig(n_samples=10000, seed=60 + 3 * p + k)
     assert_same_as_per_stream(monkeypatch, lambda: op(params, f, us, mc))
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_trace_law_operator_matches_per_stream(monkeypatch, kind, p, k):
+    # the grid above on det_power_times_exp, which takes the beta factor route
+    params, f, us = _operator_case(
+        kind, p, k, np.random.default_rng([p, k, kind == "first"]), "det_power_times_exp"
+    )
+    op = kober_matrix_first if kind == "first" else kober_matrix_second
+    mc = MCConfig(n_samples=10000, seed=60 + 3 * p + k)
+    assert_same_as_per_stream(monkeypatch, lambda: op(params, f, us, mc))
+
+
+class _FactorCalled(Exception):
+    pass
+
+
+def test_only_laws_beyond_log_det_build_beta_factors(monkeypatch):
+    # det_power reads log|W| alone and never builds a beta factor, also in
+    # a reweighted second-kind slot (zeta = 0.2 <= (p-1)/2); a law with a
+    # trace and a callback need the factor
+    def refuse(*args, **kwargs):
+        raise _FactorCalled
+
+    monkeypatch.setattr(matrix_ops, "matrix_beta_factor", refuse)
+    mc = MCConfig(n_samples=2000, seed=96)
+    us = (U22, np.eye(2))
+    cases = [
+        (kober_matrix_first, MatrixOpParams("first", 2, 2, ((1.2, 0.9), (1.6, 1.1))), 0.7),
+        (kober_matrix_second, MatrixOpParams("second", 2, 2, ((0.2, 1.3), (1.4, 0.9))), -1.2),
+    ]
+    for op, params, lam in cases:
+        est = op(params, det_power(2, lam, k=2), us, mc)
+        assert math.isfinite(est.value) and est.se > 0.0
+        for f in (
+            exp_neg_trace(2, 2),
+            det_power_times_exp(2, 2.0, k=2),
+            matrix_callback(2, lambda v1, v2: np.exp(-v1[..., 0, 0] - v2[..., 1, 1]), k=2),
+        ):
+            with pytest.raises(_FactorCalled):
+                op(params, f, us, mc)
 
 
 def test_batched_reweighted_slot_and_callback_match_per_stream(monkeypatch):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
+from kober import smallmat
 from kober.errors import ChainDomainError, DomainError
 from kober.randmat import (
     BetaMatParams,
     RngStream,
     StreamBatch,
     matrix_beta_det_moment,
+    matrix_beta_factor,
+    matrix_beta_logdet,
     sample_dirichlet_chain,
     sample_matrix_beta,
     sample_wishart,
@@ -108,6 +111,35 @@ def test_matrix_beta_determinant_moment(p, a, b):
     prm = BetaMatParams(p, a, b)
     x = sample_matrix_beta(prm, RngStream(7), size=100000)
     mean_within(np.linalg.det(x), matrix_beta_det_moment(prm, 1.0))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_matrix_beta_logdet_moments(p):
+    # |X|^h for h down to -0.4 keeps a finite variance: a - (p-1)/2 = 1.3
+    prm = BetaMatParams(p, (p - 1) / 2.0 + 1.3, (p - 1) / 2.0 + 0.7)
+    logdet = matrix_beta_logdet(prm, RngStream(30 + p), size=200000)
+    for h in (-0.4, 0.5, 1.3):
+        mean_within(np.exp(h * logdet), matrix_beta_det_moment(prm, h), k=4.0)
+    # E log|X| = sum_i psi(a - i/2) - psi(a + b - i/2), i = 0..p-1
+    expect = sum(digamma(prm.a - i / 2.0) - digamma(prm.a + prm.b - i / 2.0) for i in range(p))
+    mean_within(logdet, expect, k=4.0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matrix_beta_logdet_matches_factor_law(p):
+    # two samples of log|X|, from p univariate betas and from the factor
+    prm = BetaMatParams(p, p / 2.0 + 0.4, p / 2.0 + 0.9)
+    fast = matrix_beta_logdet(prm, RngStream(34 + p), size=20000)
+    slow = smallmat.logdet(matrix_beta_factor(prm, RngStream(36 + p), size=20000))
+    assert stats.ks_2samp(fast, slow).pvalue > 0.01
+
+
+def test_matrix_beta_logdet_batch_slices_are_each_streams_own_draws():
+    prm = BetaMatParams(3, 1.8, 1.4)
+    batch = StreamBatch([RngStream(43, i).generator() for i in range(3)], 5)
+    got = matrix_beta_logdet(prm, batch, size=15)
+    alone = [matrix_beta_logdet(prm, RngStream(43, i), size=5) for i in range(3)]
+    assert np.array_equal(got, np.concatenate(alone))
 
 
 def test_matrix_beta_det_moment_scalar_reduction():
