@@ -207,6 +207,8 @@ def parse_scalar_f(spec):
         return scalar_ops.power(args[0])
     if name == "exp":
         return scalar_ops.exp_decay(args[0] if args else 1.0)
+    if name == "exp-growth":
+        return scalar_ops.exp_growth(args[0] if args else 1.0)
     if name == "power-exp":
         if not args:
             raise CliError("power-exp needs an exponent, e.g. power-exp:1.5,1")

@@ -313,19 +313,6 @@ def _f_of_factors(f, shape, factor, logdet, scale=1.0):
     return f.law(logdet, lambda j: scale * smallmat.gram_trace(factor(j)), shape)
 
 
-def _f_second_kind(f, m, roots, log_u, ks, scale):
-    """f at m second-kind arguments V_j = U_j^(1/2) W_j^(-1) U_j^(1/2), for
-    roots R_j with scale R_j R_j' = U_j, log|U_j| = log_u[j] and beta factors
-    K_j of W_j = K_j K_j': V_j = scale C_j C_j' with C_j = R_j K_j^(-T), up
-    to an orthogonal conjugation, and log|V_j| = log|U_j| - log|W_j|."""
-    return _f_of_factors(
-        f, (m,),
-        lambda j: smallmat.matmul(roots[j], smallmat.inv_factor(ks[j])),
-        lambda j: log_u[j] - smallmat.logdet(ks[j]),
-        scale,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo aggregation
 
@@ -404,32 +391,25 @@ def _proposals(params):
     return out
 
 
-def _kober_matrix(kind, params, f, U, mc):
-    """The operator of the given kind at (U_1..U_k): the Gamma_p ratio of the
-    slots' beta proposals times the mean of f at the mapped beta draws,
-    each draw weighted by its slot's |W|^(-power).  Each slot's U enters as
-    log|U| and, off the determinant route, its root U^(1/2)."""
-    if params.kind != kind:
-        raise DomainError(f"params.kind must be {kind!r}")
-    U = [require_spd(u, "operator argument") for u in U]
-    if len(U) != params.k:
-        raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
-    if f.k != params.k:
-        raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
-    mc = mc or MCConfig()
-    # a law without a trace term reads log|V_j| = log|U_j| +- log|W_j| only
+def _operator_draws(kind, params, f, extra=()):
+    """(scale, det_only, vals) of the operator of the given kind: scale is
+    the Gamma_p ratio of the slots' beta proposals, with Gamma_p(x) of each
+    x in extra in the numerator.  vals(rng, m, roots, log_u, c) is f at m
+    beta draws W_j = K_j K_j' per slot, weighted by |W_j|^(-power), at
+    V_j = c C_j C_j' with C_j = R_j K_j (first kind) or R_j K_j^(-T), for
+    roots R_j = roots[j] with c R_j R_j' = U_j and log|U_j| = log_u[j].  A
+    det_only law reads log|V_j| = log|U_j| +- log|W_j| alone, drawn from p
+    univariate betas per slot, and needs no roots."""
     det_only = f.fn is None and not f.b
-    roots = None if det_only else [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
-    log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
     sign = 1.0 if kind == "first" else -1.0
     props = _proposals(params)
     scale = gamma_ratio(GammaRatioSpec(
-        params.p, tuple(prm.a for prm, _ in props), tuple(prm.a + prm.b for prm, _ in props)
+        params.p,
+        tuple(prm.a for prm, _ in props) + tuple(extra),
+        tuple(prm.a + prm.b for prm, _ in props),
     ))
 
-    def vals_fn(rng, m):
-        # logw(j) = log|W_j| of slot j's beta draws: from p univariate betas
-        # on the determinant route, else from the beta factor K_j
+    def vals(rng, m, roots, log_u, c):
         if det_only:
             logw = [matrix_beta_logdet(prm, rng, m) for prm, _ in props].__getitem__
             out = f.law(lambda j: log_u[j] + sign * logw(j), None, (m,))
@@ -439,14 +419,12 @@ def _kober_matrix(kind, params, f, U, mc):
             def logw(j):
                 return smallmat.logdet(ks[j])
 
-            if kind == "first":
-                out = _f_of_factors(
-                    f, (m,),
-                    lambda j: smallmat.matmul(roots[j], ks[j]),
-                    lambda j: log_u[j] + logw(j),
+            def factor(j):
+                return smallmat.matmul(
+                    roots[j], ks[j] if kind == "first" else smallmat.inv_factor(ks[j])
                 )
-            else:
-                out = _f_second_kind(f, m, roots, log_u, ks, 1.0)
+
+            out = _f_of_factors(f, (m,), factor, lambda j: log_u[j] + sign * logw(j), c)
         weight = 0.0
         for j, (_, power) in enumerate(props):
             if power:
@@ -455,7 +433,24 @@ def _kober_matrix(kind, params, f, U, mc):
             out = out * np.exp(weight)
         return out
 
-    return _mc_expectation(vals_fn, mc, scale=scale)
+    return scale, det_only, vals
+
+
+def _kober_matrix(kind, params, f, U, mc):
+    """The operator of the given kind at (U_1..U_k): _operator_draws with
+    each slot's U as log|U| and, off the determinant route, its root U^(1/2)."""
+    if params.kind != kind:
+        raise DomainError(f"params.kind must be {kind!r}")
+    U = [require_spd(u, "operator argument") for u in U]
+    if len(U) != params.k:
+        raise DomainError(f"need {params.k} matrix arguments, got {len(U)}")
+    if f.k != params.k:
+        raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
+    mc = mc or MCConfig()
+    scale, det_only, vals = _operator_draws(kind, params, f)
+    roots = None if det_only else [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
+    log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
+    return _mc_expectation(lambda rng, m: vals(rng, m, roots, log_u, 1.0), mc, scale=scale)
 
 
 def kober_matrix_second(params, f, U, mc=None):
@@ -515,9 +510,9 @@ def density_constant(params, chain=None):
 
 
 def _density_mode_factors(params, f_sampler, stream, size, chain):
-    """The draws of density_mode_sample as factors: per slot (C, B, log|U|)
-    with U = C B B' C', C the factor of V from f_sampler and B the
-    triangular factor of Y (second kind) or of Y^(-1) (first kind)."""
+    """The draws of density_mode_sample as factors: per slot (C, K, log|U|)
+    with C the factor of V from f_sampler and K that of the beta draw
+    Y = K K', so U = C Y C' (second kind) or C Y^(-1) C' (first kind)."""
     shapes = _beta_shapes(params, chain)
     rng = _resolve_rng(stream)
     cs = f_sampler(rng, size)
@@ -526,10 +521,8 @@ def _density_mode_factors(params, f_sampler, stream, size, chain):
     out = []
     for (a, b), c in zip(shapes, cs):
         k = matrix_beta_factor(BetaMatParams(params.p, a, b), rng, size)
-        if params.kind == "second":
-            out.append((c, k, smallmat.logdet(c) + smallmat.logdet(k)))
-        else:
-            out.append((c, smallmat.inv_factor(k), smallmat.logdet(c) - smallmat.logdet(k)))
+        sign = 1.0 if params.kind == "second" else -1.0
+        out.append((c, k, smallmat.logdet(c) + sign * smallmat.logdet(k)))
     return out
 
 
@@ -544,7 +537,8 @@ def density_mode_sample(params, f_sampler, stream, size, chain=None):
     C_j = V_j^(1/2) H_j with H_j orthogonal, and the beta law is invariant
     under Y -> H'YH, so U_j has the law of V_j^(1/2) Y_j V_j^(1/2).
     """
-    return [
-        smallmat.stack(smallmat.congruence(c, b))
-        for c, b, _ in _density_mode_factors(params, f_sampler, stream, size, chain)
-    ]
+    out = []
+    for c, k, _ in _density_mode_factors(params, f_sampler, stream, size, chain):
+        b = k if params.kind == "second" else smallmat.inv_factor(k)
+        out.append(smallmat.stack(smallmat.congruence(c, b)))
+    return out

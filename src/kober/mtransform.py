@@ -20,21 +20,20 @@ from . import scalar_ops, smallmat
 from .errors import DomainError, ProposalDomainError, RatioOverflow, TailDivergence
 from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
-    MatrixOpParams,
     MCConfig,
     _density_mode_factors,
-    _f_second_kind,
     _mc_expectation,
+    _operator_draws,
     density_constant,
 )
 from .quadrature import (
     contract_slabs,
-    converge_doubling,
+    doubling_sum,
     jacobi_rule_01,
     legendre_rule_01,
     quad_operator,
 )
-from .randmat import BetaMatParams, matrix_beta_factor, wishart_factor
+from .randmat import wishart_factor
 
 # largest x with exp(-x) above the double underflow threshold
 EXP_HORIZON = 745.0
@@ -202,24 +201,24 @@ def mellin_numeric_1d(f, s, *, q):
             f"transform diverges at zero: s + zero order = {s + order} <= 0"
         )
 
-    def estimate(n):
-        total = 0.0
-        if head:
-            t, w = jacobi_rule_01(n, 0.0, s - 1.0 + order)
-            vals = np.asarray(res(head * t), dtype=float)
-            total = head ** (s + order) * float(w @ vals)
-        if kind == "power":
-            t2, w2 = jacobi_rule_01(n, 0.0, m - s - 1.0)
-            x = 1.0 / t2
-            total += float(w2 @ (np.asarray(f(x), dtype=float) * x**m))
-        for lo, hi in segments:
-            t3, w3 = legendre_rule_01(n)
-            x = lo + (hi - lo) * t3
-            vals = np.asarray(f(x), dtype=float) * x ** (s - 1.0)
-            total += (hi - lo) * float(w3 @ vals)
-        return total
+    pieces = []
+    if head:
+        pieces.append(((0.0, s - 1.0 + order), lambda t: res(head * t), head ** (s + order)))
+    if kind == "power":
 
-    return converge_doubling(estimate, q)
+        def tail(t):
+            x = 1.0 / t
+            return np.asarray(f(x), dtype=float) * x**m
+
+        pieces.append(((0.0, m - s - 1.0), tail, 1.0))
+    for lo, hi in segments:
+
+        def seg(t, lo=lo, hi=hi):
+            x = lo + (hi - lo) * t
+            return np.asarray(f(x), dtype=float) * x ** (s - 1.0)
+
+        pieces.append((None, seg, hi - lo))
+    return doubling_sum(q, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +504,12 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
 def mtransform_mc_operator(params, f, s, mc=None):
     """Transform of the operator output by importance sampling over U.
 
-    Draws U_j from a proposal matched to the operator output, W_j from the
-    operator's own beta representation, and averages proposal-corrected
-    values of |U|^(s-(p+1)/2) * (operator estimate at U).  Independent of
-    the density interpretation used by mtransform_mc.
+    Draws U_j from a proposal matched to the operator output, then W_j and
+    the value of f through the body of kober_matrix_second
+    (matrix_ops._operator_draws), and averages proposal-corrected values of
+    |U|^(s-(p+1)/2) * (operator estimate at U).  Independent of the density
+    interpretation used by mtransform_mc.  Every slot's proposal factor is
+    drawn before the beta factors.
 
     Second kind only.  U_j ~ 0.5 * Wishart(2 s_j), which cancels the |U|
     factor of the weight; for inputs with exponential decay the remaining
@@ -517,7 +518,10 @@ def mtransform_mc_operator(params, f, s, mc=None):
     U = R R' and log|U| = 2 sum_i log R_ii; R = U^(1/2) H with H orthogonal,
     and the law of W^(-1) is invariant under H, so R W^(-1) R' has the law of
     U^(1/2) W^(-1) U^(1/2).  DomainError where f's own transform diverges
-    at s (only families with a closed-form transform are checked).
+    at s (only families with a closed-form transform are checked), and for
+    a law without a trace term, whose transform diverges at every s.  A
+    zeta_j <= (p-1)/2 is refused as well: its beta(zeta_j, alpha_j)
+    proposal does not exist.
 
     The first kind is refused.  Its output decays like |U|^(-zeta-(p+1)/2),
     so the conditional variance of a single W draw falls off at only half
@@ -535,28 +539,26 @@ def mtransform_mc_operator(params, f, s, mc=None):
     pt = _as_mpoint(s, params.k)
     pt.check(params)
     f.mellin(pt.s)  # raises DomainError where f's own transform diverges
+    if f.fn is None and not f.b:
+        raise DomainError(f"the transform of {f.family} (no trace term) diverges at every s")
     p = params.p
+    if not all(zeta > (p - 1) / 2.0 for zeta, _ in params.pairs):
+        raise DomainError(f"the operator-route transform needs zeta > (p-1)/2, got {params.pairs}")
 
     dfs = [max(2.0 * sj, p - 0.5) for sj in pt]
-    betas = [BetaMatParams(p, zeta, alpha) for zeta, alpha in params.pairs]
     # the proposal normalisers Gamma_p(df0/2) of Wishart(df0, I/2), density
     # |U|^(df0/2-(p+1)/2) exp(-tr U) / Gamma_p(df0/2), join the numerator
-    scale = gamma_ratio(GammaRatioSpec(
-        p,
-        tuple(prm.a for prm in betas) + tuple(df0 / 2.0 for df0 in dfs),
-        tuple(prm.a + prm.b for prm in betas),
-    ))
+    scale, _, vals = _operator_draws("second", params, f, extra=[df0 / 2.0 for df0 in dfs])
 
     def vals_fn(rng, m):
         logs = 0.0
-        ts, ks, log_u = [], [], []
-        for prm, df0, sj in zip(betas, dfs, pt):
+        ts, log_u = [], []
+        for df0, sj in zip(dfs, pt):
             t = wishart_factor(p, df0, rng, m)  # U = T T' / 2, R = T / sqrt(2)
             ts.append(t)
-            ks.append(matrix_beta_factor(prm, rng, m))
             log_u.append(smallmat.logdet(t) - p * math.log(2.0))
             logs = logs + (sj - df0 / 2.0) * log_u[-1] + 0.5 * smallmat.gram_trace(t)
-        return _f_second_kind(f, m, ts, log_u, ks, 0.5) * np.exp(logs)
+        return vals(rng, m, ts, log_u, 0.5) * np.exp(logs)
 
     return _mc_expectation(vals_fn, mc, scale=scale)
 

@@ -55,8 +55,11 @@ def scipy_special(name):
     return call
 
 
-# module-level so that laguerre_rule's builds can be timed under this name
+# scipy's root finders, loaded at the first rule build; module-level so that
+# laguerre_rule's builds can be timed under the name roots_laguerre
 roots_laguerre = scipy_special("roots_laguerre")
+_roots_jacobi = scipy_special("roots_jacobi")
+_roots_legendre = scipy_special("roots_legendre")
 
 
 @lru_cache(maxsize=512)
@@ -64,18 +67,14 @@ def jacobi_rule_01(n, a, b):
     """Nodes and weights for int_0^1 (1-t)^a t^b f(t) dt; exponents > -1."""
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi weight exponents must exceed -1, got ({a}, {b})")
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, a, b)
+    x, w = _roots_jacobi(n, a, b)
     return _frozen(0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0))
 
 
 @lru_cache(maxsize=64)
 def legendre_rule_01(n):
     """Nodes and weights for int_0^1 f(t) dt."""
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(n)
+    x, w = _roots_legendre(n)
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
@@ -113,6 +112,28 @@ def converge_doubling(evaluate, q: QuadConfig):
         f"no convergence after {q.max_doublings} doublings "
         f"(final nodes {n}, last delta {delta:.3e})"
     )
+
+
+def doubling_sum(q, pieces, div=1.0):
+    """converge_doubling of the n-node estimate (sum_j c_j w_j @ g_j(t_j)) / div,
+    the terms added in the order of the pieces.  A piece (ab, g, c) has the
+    nodes t_j and weights w_j of jacobi_rule_01(n, *ab), or of
+    legendre_rule_01(n) for ab None; a function of n is a piece that gives
+    its own term."""
+
+    def estimate(n):
+        total = None
+        for piece in pieces:
+            if callable(piece):
+                term = piece(n)
+            else:
+                ab, g, c = piece
+                t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
+                term = c * float(w @ np.asarray(g(t), dtype=float))
+            total = term if total is None else total + term
+        return total / div
+
+    return converge_doubling(estimate, q)
 
 
 def contract_slabs(values, first, others):

@@ -15,6 +15,7 @@ as well, so the remaining integrand is smooth.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .quadrature import (
     _check_order,
     contract_slabs,
     converge_doubling,
+    doubling_sum,
     jacobi_rule_01,
     laguerre_rule,
     legendre_rule_01,
@@ -367,21 +369,17 @@ def _window(f, x, alpha, power, pref, below, q):
         width = x - lo if below else hi - x
         step = -width if below else width
 
-        def estimate(n):
-            t, w = jacobi_rule_01(n, 0.0, alpha - 1.0)
+        def g(t):
             v = x + step * t
-            vals = np.asarray(f(v), dtype=float) * v**power
-            return scale * width**alpha * float(w @ vals)
+            return np.asarray(f(v), dtype=float) * v**power
 
-    else:
+        return doubling_sum(q, [((0.0, alpha - 1.0), g, scale * width**alpha)])
 
-        def estimate(n):
-            t, w = legendre_rule_01(n)
-            v = lo + (hi - lo) * t
-            vals = np.asarray(f(v), dtype=float) * np.abs(x - v) ** (alpha - 1.0) * v**power
-            return scale * (hi - lo) * float(w @ vals)
+    def g(t):
+        v = lo + (hi - lo) * t
+        return np.asarray(f(v), dtype=float) * np.abs(x - v) ** (alpha - 1.0) * v**power
 
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [(None, g, scale * (hi - lo))])
 
 
 @quad_operator
@@ -397,12 +395,7 @@ def kober_first(f, u, *, zeta, alpha, q):
     order, res = f.split_power()
     b = _ratio_weight_exponent(zeta, order)
     scale = u**order / _gamma(alpha)
-
-    def estimate(n):
-        t, w = jacobi_rule_01(n, alpha - 1.0, b)
-        return scale * float(w @ np.asarray(res(u * t), dtype=float))
-
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [((alpha - 1.0, b), lambda t: res(u * t), scale)])
 
 
 @quad_operator
@@ -428,11 +421,9 @@ def kober_second(f, u, *, zeta, alpha, q):
             )
         b = zeta - 1.0 + m
 
-        def estimate(n):
-            t, w = jacobi_rule_01(n, alpha - 1.0, b)
+        def g(t):
             v = u / t
-            vals = np.asarray(f(v), dtype=float) * (v / u) ** m
-            return float(w @ vals) / _gamma(alpha)
+            return np.asarray(f(v), dtype=float) * (v / u) ** m
 
     elif kind == "exp":
         # keep any integrable power of t in the weight; the decay of f(u/t)
@@ -440,14 +431,12 @@ def kober_second(f, u, *, zeta, alpha, q):
         b = max(zeta - 1.0, 0.0)
         shift = zeta - 1.0 - b
 
-        def estimate(n):
-            t, w = jacobi_rule_01(n, alpha - 1.0, b)
-            vals = np.asarray(f(u / t), dtype=float) * t**shift
-            return float(w @ vals) / _gamma(alpha)
+        def g(t):
+            return np.asarray(f(u / t), dtype=float) * t**shift
 
     else:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [((alpha - 1.0, b), g, 1.0)], div=_gamma(alpha))
 
 
 @quad_operator
@@ -470,12 +459,7 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q):
     else:
         order, res = 0.0, f
     scale = span ** (alpha + order) / _gamma(alpha)
-
-    def estimate(n):
-        t, w = jacobi_rule_01(n, alpha - 1.0, order)
-        return scale * float(w @ np.asarray(res(a + span * t), dtype=float))
-
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [((alpha - 1.0, order), lambda t: res(a + span * t), scale)])
 
 
 def _weyl_tail_exp(f, x, alpha, w0, rate, n):
@@ -540,29 +524,22 @@ def weyl_right(f, x, *, alpha, q):
                 f"integrand w^(alpha-1) f(w) with f ~ w^{head_order} diverges at 0"
             )
 
-    rate = tail[1] if kind == "exp" else None
     w0 = max(1.0, x)
-
-    def estimate(n):
-        t, w = jacobi_rule_01(n, 0.0, alpha - 1.0 + head_order)
-        head = w0 ** (alpha + head_order) * float(
-            w @ np.asarray(head_res(x + w0 * t), dtype=float)
+    head = (
+        (0.0, alpha - 1.0 + head_order),
+        lambda t: head_res(x + w0 * t),
+        w0 ** (alpha + head_order),
+    )
+    if kind == "exp":
+        weyl_tail = _weyl_tail_exp if f.fn is None else _weyl_tail_exp_segments
+        tail_piece = partial(weyl_tail, f, x, alpha, w0, tail[1])
+    else:
+        tail_piece = (
+            (0.0, m - alpha - 1.0),
+            lambda t: np.asarray(f(x + w0 / t), dtype=float) * t ** (-m),
+            w0**alpha,
         )
-        if kind == "exp":
-            if f.fn is None:
-                tail_val = _weyl_tail_exp(f, x, alpha, w0, rate, n)
-            else:
-                tail_val = _weyl_tail_exp_segments(f, x, alpha, w0, rate, n)
-        else:
-            m = tail[1]
-            t2, w2 = jacobi_rule_01(n, 0.0, m - alpha - 1.0)
-            v = x + w0 / t2
-            tail_val = w0**alpha * float(
-                w2 @ (np.asarray(f(v), dtype=float) * t2 ** (-m))
-            )
-        return (head + tail_val) / _gamma(alpha)
-
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [head, tail_piece], div=_gamma(alpha))
 
 
 @quad_operator
@@ -604,12 +581,10 @@ def saigo_first(f, u, *, zeta, alpha, beta, gamma, q):
     b = _ratio_weight_exponent(zeta, order)
     scale = u**order / _gamma(alpha)
 
-    def estimate(n):
-        t, w = jacobi_rule_01(n, alpha - 1.0, b)
-        hyp = gauss_2f1(alpha + beta, -gamma, alpha, 1.0 - t)
-        return scale * float(w @ (hyp * np.asarray(res(u * t), dtype=float)))
+    def g(t):
+        return gauss_2f1(alpha + beta, -gamma, alpha, 1.0 - t) * np.asarray(res(u * t), dtype=float)
 
-    return converge_doubling(estimate, q)
+    return doubling_sum(q, [((alpha - 1.0, b), g, scale)])
 
 
 # ---------------------------------------------------------------------------

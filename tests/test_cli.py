@@ -41,6 +41,16 @@ def test_eval_weyl_exp_eigenfunction_csv(capsys):
     assert math.isclose(value, math.exp(-1.0), rel_tol=1e-10)
 
 
+def test_eval_weyl_left_exp_growth(capsys):
+    # (1/Gamma(alpha)) int_{-inf}^x (x-v)^(alpha-1) e^(rate v) dv = e^(rate x) rate^(-alpha)
+    code, out, _ = run_cli(
+        capsys, "eval", "--op", "weyl-left", "--f", "exp-growth:0.5", "--alpha", "0.8", "--x", "2",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert math.isclose(row["value"], math.e * 0.5**-0.8, rel_tol=1e-10)
+
+
 def test_eval_saigo_whole_gap_closed_form(capsys):
     # gamma - beta = 1 is the logarithmic 2F1 case; on f = v^lam the operator
     # is u^lam G(d) G(d - beta + gamma) / (G(d - beta) G(d + alpha + gamma)),

@@ -11,6 +11,7 @@ from kober.matrix_ops import (
     ChainSpec,
     MatrixOpParams,
     MCConfig,
+    det_power,
     det_power_times_exp,
     exp_neg_trace,
     kober_matrix_second,
@@ -444,6 +445,24 @@ def test_operator_route_refuses_first_kind():
     f = exp_neg_trace(2, 1)
     with pytest.raises(ProposalDomainError, match="second kind only"):
         mtransform_mc_operator(prm, f, 1.2, MCConfig(n_samples=1000, seed=0))
+
+
+def test_operator_route_refuses_a_law_without_trace_term():
+    # the transform of |U|^lam diverges at every s; the route used to return
+    # finite estimates for it at some seeds and MomentDivergence at others
+    prm = MatrixOpParams("second", 2, 1, ((1.8, 0.9),))
+    for seed in range(1, 6):
+        with pytest.raises(DomainError, match="diverges"):
+            mtransform_mc_operator(prm, det_power(2, -0.3), 1.6, MCConfig(n_samples=20000, seed=seed))
+
+
+@pytest.mark.parametrize("zeta", [0.5, 0.2, -0.3])
+def test_operator_route_refuses_second_kind_zeta_at_or_below_the_bound(zeta):
+    # its beta proposal beta(zeta, alpha) needs zeta > (p-1)/2; the
+    # reweighted proposal of kober_matrix_second is not used here
+    prm = MatrixOpParams("second", 2, 1, ((zeta, 0.9),))
+    with pytest.raises(DomainError, match=r"needs zeta > \(p-1\)/2"):
+        mtransform_mc_operator(prm, exp_neg_trace(2, 1), 1.6, MCConfig(n_samples=1000, seed=0))
 
 
 def test_density_route_with_chain_shapes():

@@ -6,6 +6,7 @@ from kober.errors import QuadratureNotConverged
 from kober.quadrature import (
     QuadConfig,
     converge_doubling,
+    doubling_sum,
     jacobi_rule_01,
     laguerre_rule,
     legendre_rule_01,
@@ -81,3 +82,32 @@ def test_converge_doubling_raises_when_estimates_drift():
 
     with pytest.raises(QuadratureNotConverged):
         converge_doubling(estimate, QuadConfig(max_doublings=4))
+
+
+def test_doubling_sum_adds_jacobi_legendre_and_function_pieces_then_divides():
+    # int_0^1 (1-t)^0.5 t^-0.3 (1 + t) dt = B(0.7, 1.5) + B(1.7, 1.5), then
+    # 3 int_0^1 t^2 dt = 1 and a function-of-n piece worth 2, all over 4
+    pieces = [
+        ((0.5, -0.3), lambda t: 1.0 + t, 1.0),
+        (None, lambda t: t**2, 3.0),
+        lambda n: 2.0,
+    ]
+    val, info = doubling_sum(QuadConfig(base_nodes=8), pieces, div=4.0)
+    want = (beta_fn(0.7, 1.5) + beta_fn(1.7, 1.5) + 1.0 + 2.0) / 4.0
+    np.testing.assert_allclose(val, want, rtol=1e-14)
+    # every piece is exact at the base rule, so the first doubling settles
+    assert info.nodes == 16
+
+
+def test_doubling_sum_doubles_from_base_nodes():
+    seen = []
+
+    def count(n):
+        seen.append(n)
+        return 0.0
+
+    val, info = doubling_sum(QuadConfig(base_nodes=3), [(None, np.exp, 1.0), count])
+    np.testing.assert_allclose(val, np.e - 1.0, rtol=1e-12)
+    assert len(seen) >= 2
+    assert seen == [3 * 2**i for i in range(len(seen))]
+    assert info.nodes == seen[-1]
