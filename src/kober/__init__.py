@@ -35,7 +35,6 @@ from .matrix_ops import (
     wishart_density,
 )
 from .mtransform import (
-    MPoint,
     TransformReport,
     gamma_ratio_first,
     gamma_ratio_second,

@@ -252,12 +252,6 @@ class MatrixTestFunction:
             raise DomainError(f"{self.family} has no p = 1 scalar counterpart")
         return [scalar_ops.law(a, self.b, math.exp(self.c), self.family) for a in self.a]
 
-    def as_scalar(self):
-        """The p=1, k=1 scalar counterpart in scalar_ops terms."""
-        if self.k != 1:
-            raise DomainError("scalar reduction needs p = 1 and k = 1")
-        return self.scalar_axes()[0]
-
 
 def _per_slot(name, values, k):
     """values as one float per slot: a single value is repeated over k slots,
@@ -375,20 +369,30 @@ def _mc_expectation(vals_fn, mc, scale=1.0):
 # the operators
 
 
+def _gamma_args(params, s):
+    """Per slot the Gamma_p argument a_j(s), s one value per slot, of the
+    kind's transform ratio prod_j Gamma_p(a_j) / Gamma_p(a_j + alpha_j):
+    zeta_j + ((p+1)/2 - s_j) (first kind) or zeta_j + s_j (second kind).
+    a_j(0) shapes the operator's beta proposal, a_j((p+1)/2) the
+    density-mode beta draw; this order of operations keeps both exact."""
+    half = (params.p + 1) / 2.0
+    if params.kind == "first":
+        return [zeta + (half - sj) for sj, (zeta, _) in zip(s, params.pairs)]
+    return [zeta + sj for sj, (zeta, _) in zip(s, params.pairs)]
+
+
 def _proposals(params):
-    """Per slot the beta proposal and the power of |W| that reweights it.
-    First kind: beta(z+(p+1)/2, alpha).  Second kind: beta(z, alpha), or,
-    for z <= (p-1)/2, beta(z+(p+1)/2, alpha) with |W|^(-(p+1)/2) weights
+    """Per slot the beta proposal and the power of |W| that reweights it:
+    beta(a_j(0), alpha_j), or, where a_j(0) <= (p-1)/2 (second kind,
+    z <= (p-1)/2), beta(a_j((p+1)/2), alpha_j) with |W|^(-(p+1)/2) weights
     (MatrixOpParams refuses a z at which that proposal fails too)."""
-    shift = (params.p + 1) / 2.0
-    out = []
-    for zeta, alpha in params.pairs:
-        if params.kind == "second" and zeta > (params.p - 1) / 2.0:
-            out.append((BetaMatParams(params.p, zeta, alpha), 0.0))
-        else:
-            power = shift if params.kind == "second" else 0.0
-            out.append((BetaMatParams(params.p, zeta + shift, alpha), power))
-    return out
+    bound, half = (params.p - 1) / 2.0, (params.p + 1) / 2.0
+    at_zero, at_half = (_gamma_args(params, [s] * params.k) for s in (0.0, half))
+    return [
+        (BetaMatParams(params.p, a, alpha), 0.0) if a > bound
+        else (BetaMatParams(params.p, b, alpha), half)
+        for a, b, (_, alpha) in zip(at_zero, at_half, params.pairs)
+    ]
 
 
 def _operator_draws(kind, params, f, extra=()):
@@ -483,17 +487,16 @@ def kober_matrix_first(params, f, U, mc=None):
 
 
 def _beta_shapes(params, chain):
-    """Per slot the shapes (a_j, b_j) of the density-mode beta draws:
-    a_j = z_j + (p+1)/2 (second kind) or z_j (first kind), and b_j = alpha_j
-    or, with a ChainSpec, the chain-derived second shape, of which there
-    must be exactly k."""
+    """Per slot the shapes (a_j((p+1)/2), b_j) of the density-mode beta
+    draws (_gamma_args: z_j + (p+1)/2 for the second kind, z_j for the
+    first), with b_j = alpha_j or, with a ChainSpec, the chain-derived
+    second shape, of which there must be exactly k."""
     seconds = [alpha for _, alpha in params.pairs]
     if chain is not None:
         seconds = param_chain(chain)
         if len(seconds) != params.k:
             raise ChainDomainError("chain rule output length does not match k")
-    half = (params.p + 1) / 2.0 if params.kind == "second" else 0.0
-    return [(zeta + half, b) for (zeta, _), b in zip(params.pairs, seconds)]
+    return list(zip(_gamma_args(params, [(params.p + 1) / 2.0] * params.k), seconds))
 
 
 def density_constant(params, chain=None):

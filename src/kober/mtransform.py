@@ -6,9 +6,14 @@ The transform of a function g of k SPD arguments is
 
 over the positive definite cone.  For operator outputs this factors into a
 closed-form ratio of matrix gamma functions times the transform of the input
-function.  The verification computes the left side numerically, by direct
-quadrature at p = 1 and by Monte Carlo over the density-mode sampler at
-p >= 2, and compares against the closed form.
+function, prod_j Gamma_p(a_j) / Gamma_p(a_j + alpha_j).  Its argument a_j(s),
+zeta_j + ((p+1)/2 - s_j) (first kind) or zeta_j + s_j (second kind), lives
+in matrix_ops._gamma_args alone: at s = 0 it gives the operator's beta
+proposal, at s = (p+1)/2 the density-mode beta draw.  s is one value for
+every slot or one per slot, in the domain where every a_j > (p-1)/2.  The
+verification computes the left side numerically, by direct quadrature at
+p = 1 and by Monte Carlo over the density-mode sampler at p >= 2, and
+compares against the closed form.
 """
 
 import math
@@ -22,8 +27,10 @@ from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
     MCConfig,
     _density_mode_factors,
+    _gamma_args,
     _mc_expectation,
     _operator_draws,
+    _per_slot,
     density_constant,
 )
 from .quadrature import (
@@ -50,56 +57,21 @@ MC_REL_CAP = 0.02
 # transform points and reports
 
 
-@dataclass(frozen=True)
-class MPoint:
-    """One transform argument, a tuple of s values with one entry per slot."""
-
-    s: tuple
-
-    def __post_init__(self):
-        vals = self.s if isinstance(self.s, tuple) else tuple(np.atleast_1d(self.s))
-        object.__setattr__(self, "s", tuple(float(v) for v in vals))
-
-    def __len__(self):
-        return len(self.s)
-
-    def __iter__(self):
-        return iter(self.s)
-
-    def check(self, params):
-        """Raise DomainError when the point leaves the transform domain.
-
-        First kind: s_j < zeta_j + 1, where the gamma argument
-        (p+1)/2 + zeta - s stays above the matrix gamma pole at (p-1)/2.
-        Second kind: zeta_j + s_j > (p-1)/2.
-        """
-        if len(self.s) != params.k:
-            raise DomainError(f"need {params.k} transform variables, got {len(self.s)}")
-        bound = (params.p - 1) / 2.0
-        for j, (sj, (zeta, _)) in enumerate(zip(self.s, params.pairs)):
-            if params.kind == "first":
-                if sj >= zeta + 1.0:
-                    raise DomainError(
-                        f"slot {j}: first-kind transform needs s < zeta + 1, "
-                        f"got s = {sj} with zeta = {zeta}"
-                    )
-            else:
-                if zeta + sj <= bound:
-                    raise DomainError(
-                        f"slot {j}: second-kind transform needs zeta + s > (p-1)/2, "
-                        f"got zeta + s = {zeta + sj} at p = {params.p}"
-                    )
-
-
-def _as_mpoint(s, k):
-    """s as an MPoint, a single value repeated over k slots; MPoint.check
-    rejects a wrong length."""
-    if isinstance(s, MPoint):
-        return s
-    vals = np.atleast_1d(np.asarray(s, dtype=float))
-    if vals.size == 1 and k > 1:
-        vals = np.repeat(vals, k)
-    return MPoint(tuple(vals))
+def _transform_args(params, s):
+    """(s, a): s as one float per slot, a single value standing for every
+    slot, and the kind's Gamma_p arguments a_j(s) (matrix_ops._gamma_args).
+    DomainError for a wrong number of values, or where some a_j <= (p-1)/2,
+    the pole of Gamma_p at which the transform diverges."""
+    s, _ = _per_slot("transform variables", s, params.k)
+    args = _gamma_args(params, s)
+    bound = (params.p - 1) / 2.0
+    for j, a in enumerate(args):
+        if not a > bound:
+            raise DomainError(
+                f"slot {j}: the {params.kind}-kind transform needs its Gamma_p argument "
+                f"above (p-1)/2 = {bound}, got {a} at s = {s[j]}"
+            )
+    return s, args
 
 
 @dataclass(frozen=True)
@@ -126,19 +98,13 @@ class TransformReport:
 
 
 def _gamma_ratio(params, s, kind):
-    """prod_j Gamma_p(a_j) / Gamma_p(a_j + alpha_j) with a_j the first-kind
-    argument (p+1)/2 + zeta_j - s_j or the second-kind zeta_j + s_j."""
-    pt = _as_mpoint(s, params.k)
+    """prod_j Gamma_p(a_j) / Gamma_p(a_j + alpha_j) at the kind's arguments
+    a_j(s) (_transform_args)."""
     if params.kind != kind:
         raise DomainError(f"params.kind must be {kind!r}")
-    pt.check(params)
-    half = (params.p + 1) / 2.0
-    num, den = [], []
-    for sj, (zeta, alpha) in zip(pt, params.pairs):
-        a = half + zeta - sj if kind == "first" else zeta + sj
-        num.append(a)
-        den.append(a + alpha)
-    return gamma_ratio(GammaRatioSpec(params.p, tuple(num), tuple(den)))
+    _, args = _transform_args(params, s)
+    den = tuple(a + alpha for a, (_, alpha) in zip(args, params.pairs))
+    return gamma_ratio(GammaRatioSpec(params.p, tuple(args), den))
 
 
 def gamma_ratio_first(params, s):
@@ -319,10 +285,6 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
         n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
     else:
         d = zeta + 1.0
-        if s >= d:
-            raise DomainError(
-                f"first-kind transform needs s < zeta + 1, got s = {s}, zeta = {zeta}"
-            )
         if zeta + lam <= -1.0:
             raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
         t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta + lam)
@@ -456,8 +418,7 @@ def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
         raise DomainError("the quadrature transform path covers k <= 2")
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
-    pt = _as_mpoint(s, params.k)
-    pt.check(params)
+    pt, _ = _transform_args(params, s)
     val = _tensor_transform_p1(params.kind, params, f, pt, n_outer, n_inner, axes=axes)
     coarse = _tensor_transform_p1(
         params.kind, params, f, pt, max(24, n_outer // 2), max(32, n_inner // 2), axes=axes
@@ -479,9 +440,8 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
     diverges at s.
     """
     mc = mc or MCConfig()
-    pt = _as_mpoint(s, params.k)
-    pt.check(params)
-    f.mellin(pt.s)  # raises DomainError where f's own transform diverges
+    pt, _ = _transform_args(params, s)
+    f.mellin(pt)  # raises DomainError where f's own transform diverges
     sampler = f.sampler()
     norm = f.normalizer()
     if sampler is None or norm is None:
@@ -519,9 +479,10 @@ def mtransform_mc_operator(params, f, s, mc=None):
     and the law of W^(-1) is invariant under H, so R W^(-1) R' has the law of
     U^(1/2) W^(-1) U^(1/2).  DomainError where f's own transform diverges
     at s (only families with a closed-form transform are checked), and for
-    a law without a trace term, whose transform diverges at every s.  A
-    zeta_j <= (p-1)/2 is refused as well: its beta(zeta_j, alpha_j)
-    proposal does not exist.
+    a law with trace coefficient b < 1 (det_power, wishart_density), whose
+    weight exp(tr U - b tr V) is unbounded: the estimator's variance
+    diverges.  A zeta_j <= (p-1)/2 is refused as well: its
+    beta(zeta_j, alpha_j) proposal does not exist.
 
     The first kind is refused.  Its output decays like |U|^(-zeta-(p+1)/2),
     so the conditional variance of a single W draw falls off at only half
@@ -536,11 +497,10 @@ def mtransform_mc_operator(params, f, s, mc=None):
             "with unbounded weight variance (use the density route instead)"
         )
     mc = mc or MCConfig()
-    pt = _as_mpoint(s, params.k)
-    pt.check(params)
-    f.mellin(pt.s)  # raises DomainError where f's own transform diverges
-    if f.fn is None and not f.b:
-        raise DomainError(f"the transform of {f.family} (no trace term) diverges at every s")
+    pt, _ = _transform_args(params, s)
+    f.mellin(pt)  # raises DomainError where f's own transform diverges
+    if f.fn is None and f.b < 1:
+        raise DomainError(f"{f.family} has b < 1: the unbounded weight's variance diverges")
     p = params.p
     if not all(zeta > (p - 1) / 2.0 for zeta, _ in params.pairs):
         raise DomainError(f"the operator-route transform needs zeta > (p-1)/2, got {params.pairs}")
@@ -580,10 +540,11 @@ def verify_transform(kind, params, f, s_grid, mc=None):
         raise DomainError(f"kind {kind!r} does not match params.kind {params.kind!r}")
     reports = []
     for s in s_grid:
-        pt = _as_mpoint(s, params.k)
+        pt = tuple(float(v) for v in np.atleast_1d(s))  # reported as given if its length is wrong
         try:
-            pt.check(params)
-            fstar = f.mellin(pt.s)
+            pt = _per_slot("transform variables", pt, params.k)[0]
+            _transform_args(params, pt)
+            fstar = f.mellin(pt)
             if fstar is None:
                 raise DomainError(
                     f"family {f.family!r} has no closed-form transform to verify against"
@@ -599,14 +560,14 @@ def verify_transform(kind, params, f, s_grid, mc=None):
                 ok = abs(lhs - rhs) < 3.0 * se and abs(lhs / rhs - 1.0) < MC_REL_CAP
             reports.append(
                 TransformReport(
-                    s=pt.s, lhs=lhs, se=se, rhs=rhs, ratio=lhs / rhs,
+                    s=pt, lhs=lhs, se=se, rhs=rhs, ratio=lhs / rhs,
                     tol=tol, passed=ok, status="pass" if ok else "fail",
                 )
             )
         except DomainError as exc:
             reports.append(
                 TransformReport(
-                    s=pt.s, lhs=None, se=None, rhs=None, ratio=None,
+                    s=pt, lhs=None, se=None, rhs=None, ratio=None,
                     tol=QUAD_TOL, passed=False, status="domain-error", note=str(exc),
                 )
             )

@@ -443,7 +443,9 @@ def kober_second(f, u, *, zeta, alpha, q):
 def riemann_liouville(f, x, *, alpha, a=0.0, q):
     """Left-sided Riemann-Liouville integral of order alpha from terminal a,
 
-    (1/Gamma(alpha)) int_a^x (x-v)^(alpha-1) f(v) dv.
+    (1/Gamma(alpha)) int_a^x (x-v)^(alpha-1) f(v) dv,
+
+    over the part of a compact support ("compact", lo, hi) above a alone.
     """
     f = as_test_function(f)
     x = float(x)
@@ -451,6 +453,11 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q):
         raise DomainError(f"riemann_liouville needs x >= a, got x={x}, a={a}")
     if x == a:
         return EXACT_ZERO
+    if f.tail is not None and f.tail[0] == "compact":
+        lo, hi = max(f.tail[1], a), f.tail[2]
+        if lo >= hi:
+            return EXACT_ZERO
+        return _window(replace(f, tail=("compact", lo, hi)), x, alpha, 0.0, 1.0, True, q)
     span = x - a
     if a == 0.0:
         order, res = f.split_power()

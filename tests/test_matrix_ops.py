@@ -256,7 +256,7 @@ def test_normalizer_det_power_times_exp():
     ],
 )
 def test_scalar_reduction_values_agree(f):
-    scalar = f.as_scalar()
+    scalar = f.scalar_axes()[0]
     for v in (0.3, 1.0, 2.7):
         np.testing.assert_allclose(
             f.value([np.array([[[v]]])]), [scalar(v)], rtol=1e-12

@@ -19,7 +19,6 @@ from kober.matrix_ops import (
     wishart_density,
 )
 from kober.mtransform import (
-    MPoint,
     _axis_product_nodes,
     gamma_ratio_first,
     gamma_ratio_second,
@@ -143,6 +142,50 @@ def test_domain_bounds_raise():
         gamma_ratio_second(second, -0.4)  # zeta + s <= (p-1)/2
     with pytest.raises(DomainError):
         gamma_ratio_second(first, 1.0)  # wrong kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["first", "second"]),
+    st.sampled_from([1, 2, 3]),
+    st.floats(0.0, 1.0),
+    st.floats(-1.9, 6.0),
+)
+def test_routes_refuse_the_same_transform_points(kind, p, u, s):
+    # the closed form, the verification driver and the density route refuse
+    # exactly the s at which a Gamma_p argument a(s) reaches (p-1)/2.  The
+    # input's own transform is finite for s > -2, and zeta >= 3 keeps the
+    # p = 1 second-kind tensor path in its range, so nothing else refuses
+    bound = (p - 1) / 2.0
+    if kind == "first":
+        zeta = bound + 0.05 + 4.0 * u
+    elif p == 1:
+        zeta = 3.0 + 2.0 * u
+    else:
+        zeta = -0.95 + 4.0 * u
+    prm = MatrixOpParams(kind, p, 1, ((zeta, bound + 0.6),))
+    f = det_power_times_exp(p, p + 2.0)
+    mc = MCConfig(n_samples=1000, seed=1, n_streams=2)
+    ratio = gamma_ratio_first if kind == "first" else gamma_ratio_second
+
+    def verify():
+        (rep,) = verify_transform(kind, prm, f, [s], mc)
+        if rep.status == "domain-error":
+            raise DomainError(rep.note)
+
+    def refuses(route):
+        # an estimate near the pole may be heavy-tailed; it was not refused
+        try:
+            route()
+        except DomainError:
+            return True
+        except MomentDivergence:
+            pass
+        return False
+
+    refused = refuses(lambda: ratio(prm, s))
+    assert refuses(verify) == refused
+    assert refuses(lambda: mtransform_mc(prm, f, s, mc)) == refused
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +385,7 @@ def test_verify_first_kind_domain_enforced():
     f = exp_neg_trace(1, 1)
     reports = verify_transform("first", FIRST_1, f, [0.4, 1.2, 2.0, 2.6])
     assert [r.status for r in reports] == ["pass", "pass", "pass", "domain-error"]
-    assert "zeta + 1" in reports[-1].note
+    assert "Gamma_p argument" in reports[-1].note
 
 
 def test_verify_kind_mismatch_raises():
@@ -454,6 +497,14 @@ def test_operator_route_refuses_a_law_without_trace_term():
     for seed in range(1, 6):
         with pytest.raises(DomainError, match="diverges"):
             mtransform_mc_operator(prm, det_power(2, -0.3), 1.6, MCConfig(n_samples=20000, seed=seed))
+
+
+def test_operator_route_refuses_a_law_with_trace_coefficient_below_one():
+    # the weight exp(tr U) f(V) is bounded only for b >= 1, since tr V >= tr U;
+    # with b = 1/2 the route read 3.9 s.e. below the closed form 0.55469 here
+    prm = MatrixOpParams("second", 1, 1, ((2.5, 0.6),))
+    with pytest.raises(DomainError, match="diverges"):
+        mtransform_mc_operator(prm, wishart_density(1, 3), 1.2, MCConfig(seed=3))
 
 
 @pytest.mark.parametrize("zeta", [0.5, 0.2, -0.3])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import gamma, gammaln, gammasgn, rgamma
 
 from kober import quadrature
@@ -231,6 +232,33 @@ def test_rl_positive_terminal():
 
 def test_rl_at_terminal_is_zero():
     assert riemann_liouville(power(1.0), 1.0, alpha=0.5, a=1.0) == 0.0
+
+
+@pytest.mark.parametrize("a", [0.0, 0.2, 0.9, 2.5])
+@pytest.mark.parametrize("alpha", [0.4, 1.3])
+@pytest.mark.parametrize("x", [1.0, 2.0, 2.5, 4.0])
+def test_rl_compact_support(x, alpha, a):
+    # only the support's part in [a, x] counts; a rule across the jump at
+    # either end of the support would not converge
+    if x < a:
+        return
+    lo, hi = 0.5, 2.0
+    f = callback(
+        lambda v: np.where((v > lo) & (v < hi), np.sin(v) + 2.0, 0.0), tail=("compact", lo, hi)
+    )
+    left, right = max(lo, a), min(hi, x)
+    if left >= right:
+        expect = 0.0
+    elif x <= hi:  # the kernel (x - v)^(alpha - 1) as quad's algebraic weight
+        expect = integrate.quad(
+            lambda v: np.sin(v) + 2.0, left, x, weight="alg", wvar=(0.0, alpha - 1.0)
+        )[0]
+    else:
+        expect = integrate.quad(
+            lambda v: (x - v) ** (alpha - 1.0) * (np.sin(v) + 2.0), left, right
+        )[0]
+    val = riemann_liouville(f, x, alpha=alpha, a=a)
+    np.testing.assert_allclose(val, expect * rgamma(alpha), rtol=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
