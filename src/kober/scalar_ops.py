@@ -9,7 +9,8 @@ singularities into the quadrature weight:
 
 with a the fractional order and z the index parameter.  Known power behaviour
 of the integrand family at the singular endpoint is absorbed into the weight
-as well, so the remaining integrand is smooth.
+as well, so the remaining integrand is smooth.  kober_first, riemann_liouville
+and saigo_first share one first-kind body, which honours a compact support.
 """
 
 import itertools
@@ -102,12 +103,6 @@ class TestFunction1D:
         if self.fn is None:
             return order, replace(self, lam=0.0, zero_order=0.0)
         return order, lambda v: self.fn(v) / np.asarray(v) ** order
-
-    def mellin(self, s):
-        """Known Mellin transform int_0^infty v^(s-1) f(v) dv, or None."""
-        if self.fn is None and self.rate > 0 and s + self.lam > 0:
-            return self.coeff * _gamma(s + self.lam) * self.rate ** (-(s + self.lam))
-        return None
 
 
 def law(lam, rate, coeff, family):
@@ -345,15 +340,6 @@ def _check_point(u, name="u"):
     return u
 
 
-def _ratio_weight_exponent(zeta, order):
-    b = zeta + order
-    if b <= -1.0:
-        raise TailDivergence(
-            f"v^zeta f(v) with zeta={zeta} and f ~ v^{order} is not integrable at 0"
-        )
-    return b
-
-
 def _window(f, x, alpha, power, pref, below, q):
     """pref/Gamma(alpha) int |x-v|^(alpha-1) v^power f(v) dv over the part of
     f's compact support [lo, hi] below x (below, the first kind) or above x
@@ -382,20 +368,45 @@ def _window(f, x, alpha, power, pref, below, q):
     return doubling_sum(q, [(None, g, scale * (hi - lo))])
 
 
+def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
+    """x^(lead-zeta-alpha)/Gamma(alpha) int_a^x (x-v)^(alpha-1) v^zeta kernel(v/x) f(v) dv,
+    a != 0 only with zeta = 0 and lead = alpha.  A compact support [lo, hi]
+    clipped at a goes to _window if it starts past a, or else a Jacobi rule on
+    (a, min(x, hi)) absorbs v^(zeta + f's zero order) at a = 0."""
+    compact = f.tail is not None and f.tail[0] == "compact"
+    lo, hi = (max(f.tail[1], a), f.tail[2]) if compact else (a, math.inf)
+    if x <= lo or lo >= hi:
+        return EXACT_ZERO
+    order, res = f.split_power() if a == 0.0 else (0.0, f)
+    if lo == a and zeta + order <= -1.0:
+        raise TailDivergence(f"v^zeta f(v) ~ v^{zeta + order} is not integrable at {a}")
+    pref = x ** (lead - zeta - alpha)
+    if lo > a:
+        g = f if kernel is None else callback(lambda v: kernel(v / x) * f(v))
+        return _window(replace(g, tail=("compact", lo, hi)), x, alpha, zeta, pref, True, q)
+    span, inside = min(x, hi) - a, x <= hi
+
+    def g(t):
+        v = a + span * t
+        vals = np.asarray(res(v), dtype=float)
+        if kernel is not None:  # a = 0: v/x, and t itself when span = x
+            vals = kernel(t * (span / x)) * vals
+        return vals if inside else (x - v) ** (alpha - 1.0) * vals
+
+    if inside:
+        ab, scale = (alpha - 1.0, zeta + order), span ** (lead + order)
+    else:  # (x-v)^(alpha-1) is smooth on the support
+        ab, scale = (0.0, zeta + order), pref * span ** (zeta + order + 1.0)
+    return doubling_sum(q, [(ab, g, scale / _gamma(alpha))])
+
+
 @quad_operator
 def kober_first(f, u, *, zeta, alpha, q):
     """Kober fractional integral of the first kind,
 
     g(u) = u^(-zeta-alpha)/Gamma(alpha) * int_0^u (u-v)^(alpha-1) v^zeta f(v) dv.
     """
-    f = as_test_function(f)
-    u = _check_point(u)
-    if f.tail is not None and f.tail[0] == "compact":
-        return _window(f, u, alpha, zeta, u ** (-zeta - alpha), True, q)
-    order, res = f.split_power()
-    b = _ratio_weight_exponent(zeta, order)
-    scale = u**order / _gamma(alpha)
-    return doubling_sum(q, [((alpha - 1.0, b), lambda t: res(u * t), scale)])
+    return _first_kind(as_test_function(f), _check_point(u), alpha, zeta, 0.0, q)
 
 
 @quad_operator
@@ -443,30 +454,12 @@ def kober_second(f, u, *, zeta, alpha, q):
 def riemann_liouville(f, x, *, alpha, a=0.0, q):
     """Left-sided Riemann-Liouville integral of order alpha from terminal a,
 
-    (1/Gamma(alpha)) int_a^x (x-v)^(alpha-1) f(v) dv,
-
-    over the part of a compact support ("compact", lo, hi) above a alone.
+    (1/Gamma(alpha)) int_a^x (x-v)^(alpha-1) f(v) dv.
     """
-    f = as_test_function(f)
     x = float(x)
     if x < a:
         raise DomainError(f"riemann_liouville needs x >= a, got x={x}, a={a}")
-    if x == a:
-        return EXACT_ZERO
-    if f.tail is not None and f.tail[0] == "compact":
-        lo, hi = max(f.tail[1], a), f.tail[2]
-        if lo >= hi:
-            return EXACT_ZERO
-        return _window(replace(f, tail=("compact", lo, hi)), x, alpha, 0.0, 1.0, True, q)
-    span = x - a
-    if a == 0.0:
-        order, res = f.split_power()
-        if order <= -1.0:
-            raise TailDivergence(f"f ~ v^{order} is not integrable at the terminal 0")
-    else:
-        order, res = 0.0, f
-    scale = span ** (alpha + order) / _gamma(alpha)
-    return doubling_sum(q, [((alpha - 1.0, order), lambda t: res(a + span * t), scale)])
+    return _first_kind(as_test_function(f), x, alpha, 0.0, alpha, q, a=a)
 
 
 def _weyl_tail_exp(f, x, alpha, w0, rate, n):
@@ -570,7 +563,7 @@ def weyl_left(f, x, *, alpha, q):
 @quad_operator
 def saigo_first(f, u, *, zeta, alpha, beta, gamma, q):
     """Saigo-type operator of the first kind: the first-kind ratio convolution
-    with weight t^(zeta-1) 2F1(alpha+beta, -gamma; alpha; 1-t) inside the kernel.
+    with weight t^zeta 2F1(alpha+beta, -gamma; alpha; 1-t) inside the kernel.
 
     Reduces to kober_first when the hypergeometric factor is constant
     (beta = -alpha or gamma = 0).
@@ -584,14 +577,11 @@ def saigo_first(f, u, *, zeta, alpha, beta, gamma, q):
         raise HypergeometricNonConvergent(
             f"Saigo kernel diverges near the lower endpoint: gamma - beta = {s:.6g} <= 0"
         )
-    order, res = f.split_power()
-    b = _ratio_weight_exponent(zeta, order)
-    scale = u**order / _gamma(alpha)
 
-    def g(t):
-        return gauss_2f1(alpha + beta, -gamma, alpha, 1.0 - t) * np.asarray(res(u * t), dtype=float)
+    def kernel(t):
+        return gauss_2f1(alpha + beta, -gamma, alpha, 1.0 - t)
 
-    return doubling_sum(q, [((alpha - 1.0, b), g, scale)])
+    return _first_kind(f, u, alpha, zeta, 0.0, q, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gamma, gammaln, gammasgn, rgamma
+from scipy.special import gamma, gammaln, gammasgn, hyp2f1, rgamma
 
 from kober import quadrature
 from kober.errors import (
@@ -112,6 +112,45 @@ def test_first_kind_compact_support_window():
     assert kober_first(box, 0.3, zeta=1.0, alpha=0.5) == 0.0
 
 
+def _box_from_zero():
+    # f = 1 on a support [0, 2] that starts at the terminal
+    return callback(lambda v: np.where(v < 2.0, 1.0, 0.0), tail=("compact", 0.0, 2.0))
+
+
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_first_kind_support_from_the_terminal_matches_the_power_law(x):
+    # up to the support's end f has no jump, so v^zeta at 0 goes in the weight
+    val = kober_first(_box_from_zero(), x, zeta=-0.5, alpha=0.5)
+    assert val == kober_first(power(0.0), x, zeta=-0.5, alpha=0.5)
+    np.testing.assert_allclose(val, math.sqrt(math.pi), rtol=1e-14)
+
+
+def test_first_kind_support_from_the_terminal_beyond_its_end():
+    # int_0^2 v^-1/2 (3 - v)^-1/2 dv = 2 asin(sqrt(2/3))
+    val = kober_first(_box_from_zero(), 3.0, zeta=-0.5, alpha=0.5)
+    expect = 2.0 * math.asin(math.sqrt(2.0 / 3.0)) / math.sqrt(math.pi)
+    np.testing.assert_allclose(val, expect, rtol=1e-12)
+    rl = riemann_liouville(_box_from_zero(), 3.0, alpha=0.7)
+    np.testing.assert_allclose(rl, (3.0**0.7 - 1.0) * rgamma(1.7), rtol=1e-12)
+
+
+@pytest.mark.parametrize("x", [1.0, 3.0])
+def test_first_kind_support_from_the_terminal_rejects_nonintegrable_zeta(x):
+    with pytest.raises(TailDivergence):
+        kober_first(_box_from_zero(), x, zeta=-1.2, alpha=0.5)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [power(1.3), exp_decay(0.8), power_times_exp(-0.3, 1.2), callback(np.cos), _box_from_zero()],
+)
+@pytest.mark.parametrize("x", [0.4, 1.7, 3.5])
+@pytest.mark.parametrize("alpha", [0.6, 1.8])
+def test_rl_is_the_first_kind_at_zeta_zero(f, x, alpha):
+    rl = riemann_liouville(f, x, alpha=alpha)
+    np.testing.assert_allclose(rl, x**alpha * kober_first(f, x, zeta=0.0, alpha=alpha), rtol=1e-13)
+
+
 def test_first_kind_rejects_nonintegrable_endpoint():
     with pytest.raises(TailDivergence):
         kober_first(power(-2.0), 1.0, zeta=0.5, alpha=0.5)
@@ -192,6 +231,8 @@ def test_compact_support_zero_exits_report_quad_info():
     assert kober_second(box, 2.0, zeta=1.0, alpha=0.5, full_output=True) == zero
     assert weyl_right(box, 1.5, alpha=0.7, full_output=True) == zero
     assert riemann_liouville(box, 0.0, alpha=0.7, full_output=True) == zero
+    saigo = saigo_first(box, 0.3, zeta=1.0, alpha=0.4, beta=-0.2, gamma=0.5, full_output=True)
+    assert saigo == zero
 
 
 def test_second_kind_requires_declared_tail():
@@ -462,6 +503,37 @@ def test_saigo_reduces_to_first_kind_when_factor_is_constant(zeta, alpha, lam, u
     red2 = saigo_first(power(lam), u, zeta=zeta, alpha=alpha, beta=0.4, gamma=0.0)
     np.testing.assert_allclose(red1, base, rtol=1e-10)
     np.testing.assert_allclose(red2, base, rtol=1e-10)
+
+
+def _sin_box():
+    return callback(
+        lambda v: np.where((v > 0.5) & (v < 2.0), np.sin(v) + 2.0, 0.0), tail=("compact", 0.5, 2.0)
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.4, 1.3])
+@pytest.mark.parametrize("u", [0.8, 1.5, 3.0])
+def test_saigo_compact_support(u, alpha):
+    # a rule across the jump at either end of the support would not converge
+    zeta, beta, gam = 1.0, -0.2, 0.5
+
+    def h(v):
+        return v**zeta * hyp2f1(alpha + beta, -gam, alpha, 1.0 - v / u) * (np.sin(v) + 2.0)
+
+    if u <= 2.0:  # the kernel (u - v)^(alpha - 1) as quad's algebraic weight
+        expect = integrate.quad(h, 0.5, u, weight="alg", wvar=(0.0, alpha - 1.0))[0]
+    else:
+        expect = integrate.quad(lambda v: (u - v) ** (alpha - 1.0) * h(v), 0.5, 2.0)[0]
+    val = saigo_first(_sin_box(), u, zeta=zeta, alpha=alpha, beta=beta, gamma=gam)
+    np.testing.assert_allclose(val, expect * u ** (-zeta - alpha) * rgamma(alpha), rtol=1e-9)
+
+
+@pytest.mark.parametrize("f", [power_times_exp(0.7, 1.3), _sin_box(), _box_from_zero()])
+@pytest.mark.parametrize("u", [0.8, 1.5, 3.0])
+def test_saigo_without_gamma_is_kober_first_bit_for_bit(f, u):
+    # 2F1(alpha + beta, 0; alpha; z) = 1 exactly, and both run one body
+    val = saigo_first(f, u, zeta=1.0, alpha=0.7, beta=-0.2, gamma=0.0)
+    assert val == kober_first(f, u, zeta=1.0, alpha=0.7)
 
 
 def test_saigo_generic_frozen_value():
