@@ -35,15 +35,12 @@ from .matrix_ops import (
 )
 from .quadrature import (
     contract_slabs,
-    doubling_sum,
     jacobi_rule_01,
     legendre_rule_01,
     quad_operator,
 )
 from .randmat import wishart_factor
 
-# largest x with exp(-x) above the double underflow threshold
-EXP_HORIZON = 745.0
 # tensor quadrature drops a node whose coefficient times its tail bound is
 # below this share of its axis total
 PRUNE_REL = 1e-17
@@ -123,68 +120,9 @@ def gamma_ratio_second(params, s):
 
 @quad_operator
 def mellin_numeric_1d(f, s, *, q):
-    """int_0^inf x^(s-1) f(x) dx for a function with declared endpoint behaviour.
-
-    The integral is split at 1; the head absorbs x^(s-1) and the declared
-    power of f at zero into a Jacobi weight, the tail uses the declared decay
-    (geometric Gauss-Legendre segments for exponential tails, a reciprocal
-    Jacobi substitution for power tails).  A compact support [lo, hi] bounds
-    the head at hi, or, for lo > 0, is one Gauss-Legendre segment.
-    """
-    f = scalar_ops.as_test_function(f)
-    s = float(s)
-    order, res = f.split_power()
-    if f.tail is None:
-        raise TailDivergence("the transform needs a declared tail to reach infinity")
-
-    kind = f.tail[0]
-    head = 1.0  # the Jacobi head rule covers (0, head)
-    segments = []  # Gauss-Legendre pieces beyond the head
-    if kind == "power":
-        m = f.tail[1]
-        if s >= m:
-            raise TailDivergence(
-                f"transform diverges at infinity: s = {s} >= declared decay {m}"
-            )
-    elif kind == "exp":
-        rate = f.tail[1]
-        n_seg = max(1, math.ceil(math.log2(max(EXP_HORIZON / rate, 2.0))))
-        segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
-    elif kind == "compact":
-        # no rule may cross a jump of f at either end of its support
-        _, lo, hi = f.tail
-        if lo > 0.0:
-            head = 0.0
-            segments = [(lo, hi)]
-        else:
-            head = min(1.0, hi)
-            if hi > 1.0:
-                segments = [(1.0, hi)]
-    else:
-        raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    if head and s + order <= 0.0:
-        raise DomainError(
-            f"transform diverges at zero: s + zero order = {s + order} <= 0"
-        )
-
-    pieces = []
-    if head:
-        pieces.append(((0.0, s - 1.0 + order), lambda t: res(head * t), head ** (s + order)))
-    if kind == "power":
-
-        def tail(t):
-            x = 1.0 / t
-            return np.asarray(f(x), dtype=float) * x**m
-
-        pieces.append(((0.0, m - s - 1.0), tail, 1.0))
-    for lo, hi in segments:
-
-        def seg(t, lo=lo, hi=hi):
-            x = lo + (hi - lo) * t
-            return np.asarray(f(x), dtype=float) * x ** (s - 1.0)
-
-        pieces.append((None, seg, hi - lo))
-    return doubling_sum(q, pieces)
+    """int_0^inf x^(s-1) f(x) dx for a function with declared endpoint
+    behaviour, by the half-line body it shares with the Weyl integrals."""
+    return scalar_ops._half_line(scalar_ops.as_test_function(f), float(s), q)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,7 @@ def scipy_special(name):
     return call
 
 
-# scipy's root finders, loaded at the first rule build; module-level so that
-# laguerre_rule's builds can be timed under the name roots_laguerre
-roots_laguerre = scipy_special("roots_laguerre")
+# scipy's root finders, loaded at the first rule build
 _roots_jacobi = scipy_special("roots_jacobi")
 _roots_legendre = scipy_special("roots_legendre")
 
@@ -76,12 +74,6 @@ def legendre_rule_01(n):
     """Nodes and weights for int_0^1 f(t) dt."""
     x, w = _roots_legendre(n)
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
-
-
-@lru_cache(maxsize=16)
-def laguerre_rule(n):
-    """Nodes and weights for int_0^inf e^(-y) f(y) dy."""
-    return _frozen(*roots_laguerre(n))
 
 
 def _frozen(*arrays):
@@ -118,18 +110,13 @@ def doubling_sum(q, pieces, div=1.0):
     """converge_doubling of the n-node estimate (sum_j c_j w_j @ g_j(t_j)) / div,
     the terms added in the order of the pieces.  A piece (ab, g, c) has the
     nodes t_j and weights w_j of jacobi_rule_01(n, *ab), or of
-    legendre_rule_01(n) for ab None; a function of n is a piece that gives
-    its own term."""
+    legendre_rule_01(n) for ab None."""
 
     def estimate(n):
         total = None
-        for piece in pieces:
-            if callable(piece):
-                term = piece(n)
-            else:
-                ab, g, c = piece
-                t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
-                term = c * float(w @ np.asarray(g(t), dtype=float))
+        for ab, g, c in pieces:
+            t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
+            term = c * float(w @ np.asarray(g(t), dtype=float))
             total = term if total is None else total + term
         return total / div
 

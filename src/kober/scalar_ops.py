@@ -11,12 +11,14 @@ with a the fractional order and z the index parameter.  Known power behaviour
 of the integrand family at the singular endpoint is absorbed into the weight
 as well, so the remaining integrand is smooth.  kober_first, riemann_liouville
 and saigo_first share one first-kind body, which honours a compact support.
+weyl_right, weyl_left and mtransform.mellin_numeric_1d share one half-line
+body, int_0^inf w^(s-1) f(w) dw: a Jacobi head on (0, 1) and a tail set by
+f's declared decay.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,10 +38,7 @@ from .quadrature import (
     converge_doubling,
     doubling_sum,
     jacobi_rule_01,
-    laguerre_rule,
-    legendre_rule_01,
     quad_operator,
-    roots_laguerre,  # noqa: F401  (re-exported: Gauss-Laguerre builds are timed under this name)
     scipy_special,
 )
 
@@ -48,6 +47,11 @@ _gamma = scipy_special("gamma")
 _rgamma = scipy_special("rgamma")
 _digamma = scipy_special("digamma")
 _scipy_hyp2f1 = scipy_special("hyp2f1")
+# no caller: kept because the benchmark's tracer hooks this name
+roots_laguerre = scipy_special("roots_laguerre")
+
+# largest x with exp(-x) above the double underflow threshold
+EXP_HORIZON = 745.0
 
 
 # ---------------------------------------------------------------------------
@@ -462,89 +466,110 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q):
     return _first_kind(as_test_function(f), x, alpha, 0.0, alpha, q, a=a)
 
 
-def _weyl_tail_exp(f, x, alpha, w0, rate, n):
-    """int_{w0}^inf w^(alpha-1) f(x+w) dw for the law f = coeff v^lam e^(-rate v),
-    rate > 0, with the decay paired against the Gauss-Laguerre weight
-    analytically."""
-    n = min(n, 128)
-    y, wl = laguerre_rule(n)
-    w = w0 + y / rate
-    vals = w ** (alpha - 1.0) * (f.coeff * (x + w) ** f.lam)
-    return math.exp(-rate * (x + w0)) / rate * float(wl @ vals)
+def _half_line(f, s, q):
+    """int_0^inf w^(s-1) f(w) dw for a function with declared endpoint behaviour.
 
+    The integral is split at 1; the head absorbs w^(s-1) and the declared
+    power of f at zero into a Jacobi weight, the tail uses the declared decay
+    (a reciprocal Jacobi substitution for a power tail, octave Gauss-Legendre
+    segments out to EXP_HORIZON / rate for an exponential tail).  A compact
+    support [lo, hi] bounds the head at hi, or, for lo > 0, is one
+    Gauss-Legendre segment.  All segments share one rule, so f is evaluated
+    once per estimate on the (segments x nodes) grid.
+    """
+    order, res = f.split_power()
+    if f.tail is None:
+        raise TailDivergence("the integral needs a declared tail to reach infinity")
+    kind = f.tail[0]
+    head = 1.0  # the Jacobi head rule covers (0, head)
+    segments = []  # Gauss-Legendre segments (lo, hi) beyond the head
+    if kind == "power":
+        m = f.tail[1]
+        if s >= m:
+            raise TailDivergence(
+                f"int_0^inf w^(s-1) f(w) dw diverges at infinity: "
+                f"s = {s} >= declared decay {m}"
+            )
+    elif kind == "exp":
+        n_seg = max(1, math.ceil(math.log2(max(EXP_HORIZON / f.tail[1], 2.0))))
+        segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
+    elif kind == "compact":
+        # no rule may cross a jump of f at either end of its support
+        _, lo, hi = f.tail
+        if lo > 0.0:
+            head = 0.0
+            segments = [(lo, hi)]
+        else:
+            head = min(1.0, hi)
+            if hi > 1.0:
+                segments = [(1.0, hi)]
+    else:
+        raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
+    if head and s + order <= 0.0:
+        raise DomainError(
+            f"int_0^inf w^(s-1) f(w) dw diverges at zero: s + zero order = {s + order} <= 0"
+        )
 
-def _weyl_tail_exp_segments(f, x, alpha, w0, rate, n):
-    """Geometric Gauss-Legendre segments for callbacks with exponential decay."""
-    total = 0.0
-    lo = w0
-    t, w = legendre_rule_01(min(n, 64))
-    for _ in range(40):
-        hi = 2.0 * lo
-        v = lo + (hi - lo) * t
-        seg = (hi - lo) * float(w @ (v ** (alpha - 1.0) * np.asarray(f(x + v), dtype=float)))
-        total += seg
-        if abs(seg) <= 1e-16 * max(abs(total), 1e-300) or rate * lo > 745.0:
-            return total
-        lo = hi
-    return total
+    pieces = []
+    if head:
+        pieces.append(((0.0, s - 1.0 + order), lambda t: res(head * t), head ** (s + order)))
+    if kind == "power":
+
+        def tail(t):
+            w = 1.0 / t
+            return np.asarray(f(w), dtype=float) * w**m
+
+        pieces.append(((0.0, m - s - 1.0), tail, 1.0))
+    if segments:
+        lo, hi = np.array(segments).T[:, :, None]
+
+        def seg(t):
+            w = lo + (hi - lo) * t
+            # ravel: operator_curve_1d callbacks return flat arrays
+            vals = np.asarray(f(w.ravel()), dtype=float).reshape(w.shape)
+            return ((hi - lo) * w ** (s - 1.0) * vals).sum(axis=0)
+
+        pieces.append((None, seg, 1.0))
+    return doubling_sum(q, pieces)
 
 
 @quad_operator
 def weyl_right(f, x, *, alpha, q):
     """Right-sided Weyl fractional integral,
-    (1/Gamma(alpha)) int_x^inf (v-x)^(alpha-1) f(v) dv."""
+    (1/Gamma(alpha)) int_x^inf (v-x)^(alpha-1) f(v) dv
+      = (1/Gamma(alpha)) int_0^inf w^(alpha-1) f(x+w) dw,
+    the half-line body that mellin_numeric_1d shares, at s = alpha.  At x = 0
+    the body takes f itself with its zero order; past 0 a compact support
+    goes to _window, and any other tail gives the body f(x + w)."""
     f = as_test_function(f)
     x = float(x)
     if x < 0:
         raise DomainError(f"weyl_right is evaluated at x >= 0, got {x}")
-    tail = f.tail
-    if tail is None:
-        raise TailDivergence("weyl_right needs a declared tail to integrate to infinity")
-
-    kind = tail[0]
-    if kind == "compact":
-        return _window(f, x, alpha, 0.0, 1.0, False, q)
-
-    if kind == "power":
-        m = tail[1]
-        if m <= alpha:
-            raise TailDivergence(
-                f"weyl_right diverges: declared tail v^({-m}) is too slow for order {alpha}"
-            )
-    elif kind != "exp":
-        raise TailDivergence(f"unsupported tail declaration {tail!r}")
-
-    # head behaviour: for x = 0 the integrand may carry f's power at zero
-    head_order = 0.0
-    head_res = f
+    scale = 1.0
     if x == 0.0:
-        head_order, head_res = f.split_power()
-        if alpha + head_order <= 0.0:
+        if alpha + f.zero_order <= 0.0:
             raise TailDivergence(
-                f"integrand w^(alpha-1) f(w) with f ~ w^{head_order} diverges at 0"
+                f"integrand w^(alpha-1) f(w) with f ~ w^{f.zero_order} diverges at 0"
             )
-
-    w0 = max(1.0, x)
-    head = (
-        (0.0, alpha - 1.0 + head_order),
-        lambda t: head_res(x + w0 * t),
-        w0 ** (alpha + head_order),
-    )
-    if kind == "exp":
-        weyl_tail = _weyl_tail_exp if f.fn is None else _weyl_tail_exp_segments
-        tail_piece = partial(weyl_tail, f, x, alpha, w0, tail[1])
+        g = f
+    elif f.tail is not None and f.tail[0] == "compact":
+        return _window(f, x, alpha, 0.0, 1.0, False, q)
     else:
-        tail_piece = (
-            (0.0, m - alpha - 1.0),
-            lambda t: np.asarray(f(x + w0 / t), dtype=float) * t ** (-m),
-            w0**alpha,
-        )
-    return doubling_sum(q, [head, tail_piece], div=_gamma(alpha))
+        # f(x + w) may be singular at w = -x: below x = 1, w = x u keeps that
+        # point a unit away from the head rule's end
+        scale, tail = min(x, 1.0), f.tail
+        if tail is not None and tail[0] == "exp":
+            tail = ("exp", tail[1] * scale)
+        g = callback(lambda u: f(x + scale * u), tail=tail)
+    val, info = _half_line(g, alpha, q)
+    return scale**alpha * val / _gamma(alpha), info
 
 
 @quad_operator
 def weyl_left(f, x, *, alpha, q):
-    """Left-sided Weyl integral, (1/Gamma(alpha)) int_{-inf}^x (x-v)^(alpha-1) f(v) dv.
+    """Left-sided Weyl integral, (1/Gamma(alpha)) int_{-inf}^x (x-v)^(alpha-1) f(v) dv
+      = (1/Gamma(alpha)) int_0^inf w^(alpha-1) f(x-w) dw,
+    by the half-line body of weyl_right and mellin_numeric_1d, at any real x.
 
     Requires decay of f towards minus infinity, declared through left_tail.
     """
@@ -552,12 +577,8 @@ def weyl_left(f, x, *, alpha, q):
     x = float(x)
     if f.left_tail is None:
         raise TailDivergence("weyl_left needs a declared left tail")
-    if f.fn is None and f.lam == 0.0:
-        # f(2x - v) = coeff e^(-2 rate x) e^(rate v), rate < 0: an exponential decay in v
-        mirrored = exp_decay(rate=-f.rate, coeff=f.coeff * math.exp(-2.0 * f.rate * x))
-    else:
-        mirrored = callback(lambda v: f(2.0 * x - v), tail=f.left_tail)
-    return weyl_right(mirrored, x, alpha=alpha, q=q, full_output=True)
+    val, info = _half_line(callback(lambda w: f(x - w), tail=f.left_tail), alpha, q)
+    return val / _gamma(alpha), info
 
 
 @quad_operator

@@ -3,12 +3,11 @@ function is needed, and the names bench/tracing.py hooks still resolve."""
 
 import importlib.util
 import json
-import math
 import pathlib
 import subprocess
 import sys
 
-from kober import quadrature, scalar_ops
+from kober import quadrature
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,14 +54,3 @@ def test_bench_trace_hooks_resolve():
     for attr in tracing.RULES:
         assert hasattr(getattr(quadrature, attr), "cache_info"), attr
 
-
-def test_laguerre_builds_go_through_the_hooked_name(monkeypatch):
-    # the scalar_ops.laguerre span wraps this name, so it must time real builds
-    assert scalar_ops.roots_laguerre is quadrature.roots_laguerre
-    built = []
-    orig = quadrature.roots_laguerre
-    monkeypatch.setattr(quadrature, "roots_laguerre", lambda n: built.append(n) or orig(n))
-    quadrature.laguerre_rule.cache_clear()
-    _, w = quadrature.laguerre_rule(3)
-    assert built == [3]
-    assert math.isclose(float(w.sum()), 1.0, rel_tol=1e-14)

@@ -16,6 +16,7 @@ from kober.errors import (
     NonDifferentiable,
     TailDivergence,
 )
+from kober.mtransform import mellin_numeric_1d
 from kober.quadrature import QuadConfig, jacobi_rule_01
 from kober.scalar_ops import (
     GAP_DELTA,
@@ -342,6 +343,71 @@ def test_weyl_left_exponential_growth():
     # int_-inf^x (x-v)^(a-1) e^(rv) dv / Gamma(a) = e^(rx) r^-a
     val = weyl_left(exp_growth(0.5), 2.0, alpha=0.8)
     np.testing.assert_allclose(val, math.exp(1.0) * 0.5**-0.8, rtol=1e-10)
+
+
+@pytest.mark.parametrize("x", [-3.0, -1.0, 0.0, 2.0])
+def test_weyl_left_at_any_real_point(x):
+    # the integral is finite for every real x: r^-a e^(rx)
+    val = weyl_left(exp_growth(0.5), x, alpha=0.8)
+    np.testing.assert_allclose(val, 0.5**-0.8 * math.exp(0.5 * x), rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        power_times_exp(0.3, 1.2),
+        callback(lambda t: np.exp(-2.0 * t) * (1.0 + t), tail=("exp", 2.0)),
+    ],
+)
+@pytest.mark.parametrize("s", [0.4, 1.3, 2.7])
+def test_weyl_right_at_zero_is_the_mellin_transform(f, s):
+    # one half-line body: int_0^inf w^(s-1) f(w) dw = Gamma(s) weyl_right(f, 0)
+    want = mellin_numeric_1d(f, s)
+    np.testing.assert_allclose(weyl_right(f, 0.0, alpha=s) * gamma(s), want, rtol=1e-15)
+
+
+def test_weyl_right_at_zero_on_a_compact_support_with_zero_order():
+    # int_0^2 w^(a-1) w^-0.5 dw = 2^(a-0.5) / (a-0.5); the zero order goes
+    # into the Jacobi weight, where a rule from 0 would not converge
+    f = callback(
+        lambda v: np.where(v < 2.0, v**-0.5, 0.0), zero_order=-0.5, tail=("compact", 0.0, 2.0)
+    )
+    val = weyl_right(f, 0.0, alpha=0.7)
+    np.testing.assert_allclose(val, 2.0**0.2 / (0.2 * gamma(0.7)), rtol=1e-13)
+    with pytest.raises(TailDivergence):
+        weyl_right(f, 0.0, alpha=0.5)
+
+
+# (lam, rate) of v^lam e^(-rate v); rate 0 is the power law v^lam, lam < -alpha
+WEYL_LAWS = [(None, 0.0), (0.0, 0.7), (0.0, 2.0), (-0.4, 1.1), (0.6, 0.5), (1.6, 1.8)]
+
+
+@pytest.mark.parametrize("lam,rate", WEYL_LAWS)
+@pytest.mark.parametrize("alpha", [0.05, 0.4, 1.1, 2.3, 4.0])
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.05, 0.8, 4.5, 30.0])
+def test_weyl_right_laws_against_closed_form(lam, rate, alpha, x):
+    # (1/Gamma(a)) int_0^inf w^(a-1) (x+w)^lam e^(-r(x+w)) dw
+    #   = e^(-rx) x^(a+lam) U(a, a+lam+1, rx), and Gamma(a+lam) r^-(a+lam) / Gamma(a)
+    # at x = 0; the power law v^-m gives x^(a-m) Gamma(m-a) / Gamma(m).  U is
+    # mpmath's: scipy's hyperu is off by up to 6e-7 near rx = 15.  At small
+    # x, f(x + w) has its branch point at w = -x, next to the head rule's end
+    if rate == 0.0:
+        lam = -(alpha + 0.7)
+        f = power(lam)
+    else:
+        f = power_times_exp(lam, rate) if lam else exp_decay(rate)
+    if x == 0.0 and alpha + lam <= 0.0:
+        with pytest.raises(TailDivergence):
+            weyl_right(f, x, alpha=alpha)
+        return
+    if rate == 0.0:
+        want = x ** (alpha + lam) * gamma(-lam - alpha) * rgamma(-lam)
+    elif x == 0.0:
+        want = gamma(alpha + lam) * rgamma(alpha) * rate ** -(alpha + lam)
+    else:
+        u = mp.hyperu(alpha, alpha + lam + 1.0, rate * x)
+        want = float(mp.exp(-rate * x) * x ** (alpha + lam) * u)
+    np.testing.assert_allclose(weyl_right(f, x, alpha=alpha), want, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------
