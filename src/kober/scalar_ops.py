@@ -491,7 +491,7 @@ def _half_line(f, s, q):
                 f"s = {s} >= declared decay {m}"
             )
     elif kind == "exp":
-        n_seg = max(1, math.ceil(math.log2(max(EXP_HORIZON / f.tail[1], 2.0))))
+        n_seg = max(1, math.ceil(math.log2(EXP_HORIZON) - math.log2(f.tail[1])))
         segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
     elif kind == "compact":
         # no rule may cross a jump of f at either end of its support
@@ -525,9 +525,10 @@ def _half_line(f, s, q):
 
         def seg(t):
             w = lo + (hi - lo) * t
-            # ravel: operator_curve_1d callbacks return flat arrays
-            vals = np.asarray(f(w.ravel()), dtype=float).reshape(w.shape)
-            return ((hi - lo) * w ** (s - 1.0) * vals).sum(axis=0)
+            # f on the flat grid, as operator_curve_1d callbacks return flat
+            # arrays; the product broadcasts a callback's scalar output
+            vals = ((hi - lo) * w ** (s - 1.0)).ravel() * np.asarray(f(w.ravel()), dtype=float)
+            return vals.reshape(w.shape).sum(axis=0)
 
         pieces.append((None, seg, 1.0))
     return doubling_sum(q, pieces)
@@ -547,21 +548,24 @@ def weyl_right(f, x, *, alpha, q):
         raise DomainError(f"weyl_right is evaluated at x >= 0, got {x}")
     scale = 1.0
     if x == 0.0:
-        if alpha + f.zero_order <= 0.0:
-            raise TailDivergence(
-                f"integrand w^(alpha-1) f(w) with f ~ w^{f.zero_order} diverges at 0"
-            )
         g = f
     elif f.tail is not None and f.tail[0] == "compact":
         return _window(f, x, alpha, 0.0, 1.0, False, q)
     else:
-        # f(x + w) may be singular at w = -x: below x = 1, w = x u keeps that
-        # point a unit away from the head rule's end
-        scale, tail = min(x, 1.0), f.tail
+        # f(x + w) may be singular at w = -x.  w = c u with c = x keeps that
+        # point a unit away from the head rule's end and, for a power tail,
+        # leaves the tail's f(x (1 + 1/t)) t^-m smooth at any x.  An
+        # exponential tail caps c at 1, where its octave segments start, and
+        # floors it at 2^-40, which bounds their number
+        scale, tail = x, f.tail
         if tail is not None and tail[0] == "exp":
+            scale = min(max(x, 2.0**-40), 1.0)
             tail = ("exp", tail[1] * scale)
         g = callback(lambda u: f(x + scale * u), tail=tail)
-    val, info = _half_line(g, alpha, q)
+    try:
+        val, info = _half_line(g, alpha, q)
+    except DomainError as exc:  # only at x = 0, from f's own zero order
+        raise TailDivergence(f"weyl_right: {exc}") from None
     return scale**alpha * val / _gamma(alpha), info
 
 

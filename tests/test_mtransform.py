@@ -69,6 +69,12 @@ def test_mellin_compact_support_away_from_the_unit_point():
     np.testing.assert_allclose(mellin_numeric_1d(low, 1.5), 0.5**1.5 / 1.5, rtol=1e-11)
 
 
+def test_mellin_scalar_callback_on_a_segment():
+    # a callback's output is broadcast to its nodes, as on every other path
+    one = callback(lambda v: 1.0, tail=("compact", 1.0, 2.0))
+    np.testing.assert_allclose(mellin_numeric_1d(one, 0.5), (2.0**0.5 - 1.0) / 0.5, rtol=1e-13)
+
+
 def test_mellin_power_decay_tail():
     # int x^(s-1) (1+x)^-3 dx = B(s, 3-s)
     f = callback(lambda v: (1.0 + np.asarray(v)) ** -3.0, tail=("power", 3.0))

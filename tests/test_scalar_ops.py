@@ -319,6 +319,20 @@ def test_weyl_right_power_tail_beta_integral():
     np.testing.assert_allclose(val, expect, rtol=1e-10)
 
 
+@pytest.mark.parametrize("m,a", [(3.0, 0.6), (1.5, 0.3), (2.2, 1.7)])
+@pytest.mark.parametrize("x", [1e3, 1e6])
+def test_weyl_right_power_tail_far_out(m, a, x):
+    # w = x u keeps the power tail's integrand x^-m (1 + t)^-m smooth at any x
+    val = weyl_right(power(-m), x, alpha=a)
+    np.testing.assert_allclose(val, x ** (a - m) * gamma(m - a) * rgamma(m), rtol=1e-10)
+
+
+@pytest.mark.parametrize("x", [1e-310, 1e-20])
+def test_weyl_right_exponential_tail_near_zero(x):
+    # the exponential tail's scale stops shrinking: a finite number of segments
+    np.testing.assert_allclose(weyl_right(exp_decay(1.0), x, alpha=0.6), 1.0, rtol=1e-10)
+
+
 def test_weyl_right_callback_with_declared_exp_tail():
     f = callback(lambda t: np.exp(-2.0 * t) * (1.0 + t), tail=("exp", 2.0))
     val = weyl_right(f, 1.0, alpha=0.7)
@@ -376,6 +390,16 @@ def test_weyl_right_at_zero_on_a_compact_support_with_zero_order():
     np.testing.assert_allclose(val, 2.0**0.2 / (0.2 * gamma(0.7)), rtol=1e-13)
     with pytest.raises(TailDivergence):
         weyl_right(f, 0.0, alpha=0.5)
+
+
+def test_weyl_right_at_zero_on_a_compact_support_past_zero():
+    # no rule reaches 0, so a declared zero order with a + order <= 0 is
+    # harmless: int_1^2 w^(a-1) w^-0.5 dw = (2^(a-0.5) - 1) / (a-0.5)
+    f = callback(
+        lambda v: np.where(v >= 1.0, v**-0.5, 0.0), zero_order=-0.5, tail=("compact", 1.0, 2.0)
+    )
+    val = weyl_right(f, 0.0, alpha=0.3)
+    np.testing.assert_allclose(val, (2.0**-0.2 - 1.0) / (-0.2 * gamma(0.3)), rtol=1e-13)
 
 
 # (lam, rate) of v^lam e^(-rate v); rate 0 is the power law v^lam, lam < -alpha
