@@ -12,7 +12,7 @@ from importlib import import_module
 
 import numpy as np
 
-from .errors import DomainError, QuadratureNotConverged
+from .errors import DomainError, QuadratureNotConverged, RatioOverflow
 
 
 # joint-grid evaluators (multivariable operators, the p = 1 tensor transform
@@ -106,9 +106,9 @@ def converge_doubling(evaluate, q: QuadConfig):
     )
 
 
-def doubling_sum(q, pieces, div=1.0):
-    """converge_doubling of the n-node estimate (sum_j c_j w_j @ g_j(t_j)) / div,
-    the terms added in the order of the pieces.  A piece (ab, g, c) has the
+def doubling_sum(q, pieces):
+    """converge_doubling of the n-node estimate sum_j c_j w_j @ g_j(t_j), the
+    terms added in the order of the pieces.  A piece (ab, g, c) has the
     nodes t_j and weights w_j of jacobi_rule_01(n, *ab), or of
     legendre_rule_01(n) for ab None."""
 
@@ -118,7 +118,7 @@ def doubling_sum(q, pieces, div=1.0):
             t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
             term = c * float(w @ np.asarray(g(t), dtype=float))
             total = term if total is None else total + term
-        return total / div
+        return total
 
     return converge_doubling(estimate, q)
 
@@ -160,14 +160,17 @@ def quad_operator(op):
     every fractional order in alpha (a scalar, or one per variable) is
     positive, and returns the value, or (value, QuadInfo) with
     full_output=True; QuadInfo has nodes == 0 where the result is exactly
-    zero without quadrature.
+    zero without quadrature.  A float overflow raises RatioOverflow.
     """
 
     @wraps(op)
     def run(*args, q=None, full_output=False, **params):
         for a in np.atleast_1d(params.get("alpha", ())):
             _check_order(a)
-        val, info = op(*args, q=q or QuadConfig(), **params)
+        try:
+            val, info = op(*args, q=q or QuadConfig(), **params)
+        except OverflowError as exc:  # e.g. a power of a point near 0 or inf
+            raise RatioOverflow(f"{op.__name__}: a value exceeds the floating range") from exc
         if full_output:
             return val, info
         return val

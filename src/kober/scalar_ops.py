@@ -11,6 +11,9 @@ with a the fractional order and z the index parameter.  Known power behaviour
 of the integrand family at the singular endpoint is absorbed into the weight
 as well, so the remaining integrand is smooth.  kober_first, riemann_liouville
 and saigo_first share one first-kind body, which honours a compact support.
+kober_second and multivar_op's joint second kind run that body too, by
+K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u): a power tail v^(-m) of f becomes zero
+order m, an exponential one max(1 - z, 0) and a support [lo, hi] [1/hi, 1/lo].
 weyl_right, weyl_left and mtransform.mellin_numeric_1d share one half-line
 body, int_0^inf w^(s-1) f(w) dw: a Jacobi head on (0, 1) and a tail set by
 f's declared decay.
@@ -347,10 +350,9 @@ def _check_point(u, name="u"):
 def _window(f, x, alpha, power, pref, below, q):
     """pref/Gamma(alpha) int |x-v|^(alpha-1) v^power f(v) dv over the part of
     f's compact support [lo, hi] below x (below, the first kind) or above x
-    (the second kind and Weyl).  A Jacobi rule absorbs the kernel
-    singularity at v = x when x lies in the support, a Legendre rule covers
-    [lo, hi] when it does not, and a support wholly on the other side of x
-    gives EXACT_ZERO."""
+    (Weyl).  A Jacobi rule absorbs the kernel singularity at v = x when x
+    lies in the support, a Legendre rule covers [lo, hi] when it does not,
+    and a support wholly on the other side of x gives EXACT_ZERO."""
     _, lo, hi = f.tail
     if (x <= lo) if below else (x >= hi):
         return EXACT_ZERO
@@ -384,9 +386,9 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     order, res = f.split_power() if a == 0.0 else (0.0, f)
     if lo == a and zeta + order <= -1.0:
         raise TailDivergence(f"v^zeta f(v) ~ v^{zeta + order} is not integrable at {a}")
-    pref = x ** (lead - zeta - alpha)
     if lo > a:
         g = f if kernel is None else callback(lambda v: kernel(v / x) * f(v))
+        pref = x ** (lead - zeta - alpha)
         return _window(replace(g, tail=("compact", lo, hi)), x, alpha, zeta, pref, True, q)
     span, inside = min(x, hi) - a, x <= hi
 
@@ -400,7 +402,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     if inside:
         ab, scale = (alpha - 1.0, zeta + order), span ** (lead + order)
     else:  # (x-v)^(alpha-1) is smooth on the support
-        ab, scale = (0.0, zeta + order), pref * span ** (zeta + order + 1.0)
+        ab, scale = (0.0, zeta + order), x ** (lead - zeta - alpha) * span ** (zeta + order + 1.0)
     return doubling_sum(q, [(ab, g, scale / _gamma(alpha))])
 
 
@@ -418,40 +420,33 @@ def kober_second(f, u, *, zeta, alpha, q):
     """Kober fractional integral of the second kind,
 
     g(u) = u^zeta/Gamma(alpha) * int_u^inf v^(-zeta-alpha) (v-u)^(alpha-1) f(v) dv,
-    computed through v = u/t on (0, 1).
+
+    the first kind with index zeta - 1 on f(1/.) at 1/u.  A power tail v^(-m)
+    gives f(1/w) zero order s = m, an exponential tail s = max(1 - zeta, 0);
+    K1_(zeta-1)[g](x) = K1_(zeta-1+s)[(x/.)^s g](x) moves s into the index and
+    leaves the residual f(u/t) t^-s.  A support [lo, hi] maps to [1/hi, 1/lo],
+    with s = 1 - zeta so that no power of x leaves the float range alone.
     """
     f = as_test_function(f)
-    u = _check_point(u)
+    x = 1.0 / _check_point(u)
     if f.tail is None:
         raise TailDivergence("kober_second needs a declared tail to integrate to infinity")
-    kind = f.tail[0]
-    if kind == "compact":
-        return _window(f, u, alpha, -zeta - alpha, u**zeta, False, q)
-    if kind == "power":
-        m = f.tail[1]
-        if zeta + m <= 0:
+    kind, tail = f.tail[0], None
+    if kind == "compact":  # lo = 0 maps to an unbounded support
+        tail, s = ("compact", 1.0 / f.tail[2], 1.0 / f.tail[1] if f.tail[1] else math.inf), 1 - zeta
+    elif kind == "power":
+        s = f.tail[1]
+        if zeta + s <= 0:
             raise TailDivergence(
-                f"second kind integral diverges: zeta + m = {zeta + m} <= 0 "
-                f"for declared tail v^({-m})"
+                f"second kind integral diverges: zeta + m = {zeta + s} <= 0 "
+                f"for declared tail v^({-s})"
             )
-        b = zeta - 1.0 + m
-
-        def g(t):
-            v = u / t
-            return np.asarray(f(v), dtype=float) * (v / u) ** m
-
     elif kind == "exp":
-        # keep any integrable power of t in the weight; the decay of f(u/t)
-        # makes the residual integrand vanish to all orders at t = 0
-        b = max(zeta - 1.0, 0.0)
-        shift = zeta - 1.0 - b
-
-        def g(t):
-            return np.asarray(f(u / t), dtype=float) * t**shift
-
+        s = max(1.0 - zeta, 0.0)
     else:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    return doubling_sum(q, [((alpha - 1.0, b), g, 1.0)], div=_gamma(alpha))
+    g = callback(lambda w: f(1.0 / w) * (x / w) ** s, tail=tail)
+    return _first_kind(g, x, alpha, zeta - 1.0 + s, 0.0, q)
 
 
 @quad_operator
@@ -725,10 +720,11 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
 
     if not callable(f):
         raise DomainError("joint integrand must be callable")
-    # first kind v = u t with weight t^zeta, second kind v = u / t with t^(zeta-1)
-    bs = zeta if kind == "first" else [z - 1.0 for z in zeta]
-    for j, b in enumerate(bs):
-        if b <= -1.0:
+    if kind == "second":  # as in kober_second: the first kind on f(1/.) at 1/u
+        g, f = f, lambda *ws: g(*(1.0 / w for w in ws))
+        u, zeta = [1.0 / x for x in u], [z - 1.0 for z in zeta]
+    for j, z in enumerate(zeta):
+        if z <= -1.0:
             raise TailDivergence(
                 f"zeta[{j}] must exceed -1 for a joint integrand"
                 if kind == "first"
@@ -738,8 +734,8 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
     def estimate(n):
         vs, ws = [], []
         for j in range(k):
-            t, w = jacobi_rule_01(n, alpha[j] - 1.0, bs[j])
-            vs.append(u[j] * t if kind == "first" else u[j] / t)
+            t, w = jacobi_rule_01(n, alpha[j] - 1.0, zeta[j])
+            vs.append(u[j] * t)
             ws.append(w / _gamma(alpha[j]))
         others = np.meshgrid(*vs, indexing="ij", sparse=True)[1:]
 

@@ -76,16 +76,16 @@ def test_converge_doubling_raises_when_estimates_drift():
         converge_doubling(estimate, QuadConfig(max_doublings=4))
 
 
-def test_doubling_sum_adds_jacobi_and_legendre_pieces_then_divides():
+def test_doubling_sum_adds_jacobi_and_legendre_pieces():
     # int_0^1 (1-t)^0.5 t^-0.3 (1 + t) dt = B(0.7, 1.5) + B(1.7, 1.5), then
-    # 3 int_0^1 t^2 dt = 1 and 2 int_0^1 dt = 2, all over 4
+    # 3 int_0^1 t^2 dt = 1 and 2 int_0^1 dt = 2
     pieces = [
         ((0.5, -0.3), lambda t: 1.0 + t, 1.0),
         (None, lambda t: t**2, 3.0),
         (None, np.ones_like, 2.0),
     ]
-    val, info = doubling_sum(QuadConfig(base_nodes=8), pieces, div=4.0)
-    want = (beta_fn(0.7, 1.5) + beta_fn(1.7, 1.5) + 1.0 + 2.0) / 4.0
+    val, info = doubling_sum(QuadConfig(base_nodes=8), pieces)
+    want = beta_fn(0.7, 1.5) + beta_fn(1.7, 1.5) + 1.0 + 2.0
     np.testing.assert_allclose(val, want, rtol=1e-14)
     # every piece is exact at the base rule, so the first doubling settles
     assert info.nodes == 16

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gamma, gammaln, gammasgn, hyp2f1, rgamma
+from scipy.special import betaincc, gamma, gammaln, gammasgn, hyp2f1, rgamma
 
 from kober import quadrature
 from kober.errors import (
@@ -245,6 +246,71 @@ def test_second_kind_divergent_tail_rejected():
     # f growing like v^0.6 against zeta = 0.5 diverges at infinity
     with pytest.raises(TailDivergence):
         kober_second(power(0.6), 1.0, zeta=0.5, alpha=0.5)
+
+
+def _box_0_2():
+    return callback(lambda v: np.where(v < 2.0, 1.0, 0.0), tail=("compact", 0.0, 2.0))
+
+
+def _box_0_2_second_kind(zeta, u):
+    # f = 1 on [0, 2), alpha = 0.5: K2 f(u) = Gamma(z)/Gamma(z+a) I_(1-u/2)(a, z),
+    # the upper tail betaincc(z, a, u/2)
+    return gamma(zeta) * rgamma(zeta + 0.5) * betaincc(zeta, 0.5, min(u / 2.0, 1.0))
+
+
+def test_second_kind_is_the_first_kind_on_the_reciprocal():
+    # K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u)
+    f = exp_decay(1.3)
+    for u in (0.2, 1.0, 4.0):
+        dual = kober_first(callback(lambda w: f(1.0 / w)), 1.0 / u, zeta=0.5, alpha=0.7)
+        np.testing.assert_allclose(kober_second(f, u, zeta=1.5, alpha=0.7), dual, rtol=1e-9)
+
+
+def _second_kind_closed_form(name, u):
+    # the three inputs of the extreme-u sweep, all at alpha = 0.5
+    if name == "power":  # v^-3, zeta = 2
+        return u**-3.0 * gamma(5.0) * rgamma(5.5)
+    if name == "exp":  # e^-v, zeta = 1.5: e^-u U(alpha, 1 - zeta, u)
+        return float(mp.e ** (-u) * mp.hyperu(0.5, -0.5, u))
+    return _box_0_2_second_kind(1.0, u)
+
+
+@pytest.mark.parametrize("u", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+@pytest.mark.parametrize(
+    "name, f, zeta",
+    [("power", power(-3.0), 2.0), ("exp", exp_decay(1.0), 1.5), ("box", _box_0_2(), 1.0)],
+)
+def test_second_kind_at_extreme_points(name, f, zeta, u):
+    # u^-3 at u = 1e-300 lies beyond the float range; every other point has
+    # a value, 0.0 where it underflows
+    if name == "power" and u == 1e-300:
+        with pytest.raises(KoberError):
+            kober_second(f, u, zeta=zeta, alpha=0.5)
+        return
+    want = _second_kind_closed_form(name, u)
+    np.testing.assert_allclose(kober_second(f, u, zeta=zeta, alpha=0.5), want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("zeta", [1.0, 2.0])
+@pytest.mark.parametrize("u", [1e-300, 1e-8, 1e-4, 1e-3, 0.1, 1.0, 1.9])
+def test_second_kind_support_from_zero_matches_the_beta_tail(zeta, u):
+    # 1/v maps the support to [1/2, inf): one Jacobi rule from 1/2 up to 1/u
+    val, info = kober_second(_box_0_2(), u, zeta=zeta, alpha=0.5, full_output=True)
+    np.testing.assert_allclose(val, _box_0_2_second_kind(zeta, u), rtol=1e-10)
+    assert info.nodes == 128
+
+
+def test_first_kind_far_point_keeps_its_value():
+    # x^(-zeta-alpha) alone overflows at x = 1e-300; the path taken never
+    # forms it, and the value is Gamma(2)/Gamma(2.5)
+    val = kober_first(exp_decay(1.0), 1e-300, zeta=1.0, alpha=0.5)
+    np.testing.assert_allclose(val, gamma(2.0) * rgamma(2.5), rtol=1e-12)
+
+
+def test_first_kind_beyond_the_float_range_raises_a_kober_error():
+    # u^3 at u = 1e300 exceeds the double range
+    with pytest.raises(KoberError):
+        kober_first(power(3.0), 1e300, zeta=1.0, alpha=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +835,30 @@ def test_multivar_second_separable_matches_joint():
         alpha=(0.5, 0.9),
     )
     np.testing.assert_allclose(sep, joint, rtol=1e-9)
+
+
+def test_multivar_second_separable_matches_joint_exponential_tails():
+    fs = [exp_decay(1.0), power_times_exp(1.0, 0.7)]
+    u, zeta, alpha = (0.8, 1.7), (0.6, 1.4), (0.5, 1.2)
+    sep = multivar_op("second", fs, u, zeta=zeta, alpha=alpha)
+    joint = multivar_op(
+        "second", lambda a, b: np.exp(-a) * b * np.exp(-0.7 * b), u, zeta=zeta, alpha=alpha
+    )
+    np.testing.assert_allclose(sep, joint, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kind, zeta, message",
+    [
+        ("first", -1.0, "zeta[1] must exceed -1 for a joint integrand"),
+        ("second", 0.0, "zeta[1] must be positive for a joint second-kind integrand"),
+    ],
+)
+def test_multivar_joint_rejects_zeta_at_the_bound(kind, zeta, message):
+    with pytest.raises(TailDivergence, match=re.escape(message)):
+        multivar_op(
+            kind, lambda a, b: np.exp(-a - b), (1.0, 1.0), zeta=(1.0, zeta), alpha=(0.5, 0.5)
+        )
 
 
 def test_multivar_three_variables_product_of_shifts():
