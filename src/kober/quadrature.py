@@ -88,14 +88,22 @@ def converge_doubling(evaluate, q: QuadConfig):
     """Double the node count until successive estimates stabilise.
 
     evaluate(n) must return the n-node estimate. Returns (value, QuadInfo);
-    raises QuadratureNotConverged when the doubling budget is exhausted.
+    raises RatioOverflow at the first estimate that is not finite, and
+    QuadratureNotConverged when the doubling budget is exhausted.
     """
+
+    def finite(n):
+        val = evaluate(n)
+        if not math.isfinite(val):
+            raise RatioOverflow(f"the {n}-node estimate is {val}: the integrand is out of range")
+        return val
+
     n = q.base_nodes
-    prev = evaluate(n)
+    prev = finite(n)
     delta = np.inf
     for _ in range(q.max_doublings):
         n *= 2
-        cur = evaluate(n)
+        cur = finite(n)
         delta = abs(cur - prev)
         if delta <= q.rel_tol * max(abs(cur), 1e-300):
             return cur, QuadInfo(nodes=n, last_delta=delta)
@@ -110,13 +118,15 @@ def doubling_sum(q, pieces):
     """converge_doubling of the n-node estimate sum_j c_j w_j @ g_j(t_j), the
     terms added in the order of the pieces.  A piece (ab, g, c) has the
     nodes t_j and weights w_j of jacobi_rule_01(n, *ab), or of
-    legendre_rule_01(n) for ab None."""
+    legendre_rule_01(n) for ab None; a scalar g_j(t_j), such as a callback's
+    constant output, stands for its value at every node."""
 
     def estimate(n):
         total = None
         for ab, g, c in pieces:
             t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
-            term = c * float(w @ np.asarray(g(t), dtype=float))
+            vals = np.asarray(g(t), dtype=float)
+            term = c * float(w @ vals if vals.ndim else w.sum() * vals)
             total = term if total is None else total + term
         return total
 

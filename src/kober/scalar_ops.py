@@ -9,14 +9,16 @@ singularities into the quadrature weight:
 
 with a the fractional order and z the index parameter.  Known power behaviour
 of the integrand family at the singular endpoint is absorbed into the weight
-as well, so the remaining integrand is smooth.  kober_first, riemann_liouville
-and saigo_first share one first-kind body, which honours a compact support.
-kober_second and multivar_op's joint second kind run that body too, by
-K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u): a power tail v^(-m) of f becomes zero
-order m, an exponential one max(1 - z, 0) and a support [lo, hi] [1/hi, 1/lo].
-weyl_right, weyl_left and mtransform.mellin_numeric_1d share one half-line
-body, int_0^inf w^(s-1) f(w) dw: a Jacobi head on (0, 1) and a tail set by
-f's declared decay.
+as well, so the remaining integrand is smooth.  One first-kind body serves
+kober_first, riemann_liouville, saigo_first and every integral over a bounded
+interval: a compact support only moves the interval's ends.  kober_second and
+multivar_op's joint second kind run it by K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u):
+a power tail v^(-m) of f becomes zero order m, an exponential one
+max(1 - z, 0) and a support [lo, hi] [1/hi, 1/lo].  weyl_right, weyl_left and
+mtransform.mellin_numeric_1d share one half-line body, int_0^inf w^(s-1) f(w) dw:
+a Jacobi head on (0, 1) and a tail set by f's declared decay.  On a support
+[lo, hi] that body is the first kind at x = hi with alpha = 1, and weyl_right
+past 0 the first kind on f(-.) from -hi at -x.
 """
 
 import itertools
@@ -347,63 +349,57 @@ def _check_point(u, name="u"):
     return u
 
 
-def _window(f, x, alpha, power, pref, below, q):
-    """pref/Gamma(alpha) int |x-v|^(alpha-1) v^power f(v) dv over the part of
-    f's compact support [lo, hi] below x (below, the first kind) or above x
-    (Weyl).  A Jacobi rule absorbs the kernel singularity at v = x when x
-    lies in the support, a Legendre rule covers [lo, hi] when it does not,
-    and a support wholly on the other side of x gives EXACT_ZERO."""
-    _, lo, hi = f.tail
-    if (x <= lo) if below else (x >= hi):
-        return EXACT_ZERO
-    scale = pref / _gamma(alpha)
-    if lo <= x <= hi:
-        width = x - lo if below else hi - x
-        step = -width if below else width
-
-        def g(t):
-            v = x + step * t
-            return np.asarray(f(v), dtype=float) * v**power
-
-        return doubling_sum(q, [((0.0, alpha - 1.0), g, scale * width**alpha)])
-
-    def g(t):
-        v = lo + (hi - lo) * t
-        return np.asarray(f(v), dtype=float) * np.abs(x - v) ** (alpha - 1.0) * v**power
-
-    return doubling_sum(q, [(None, g, scale * (hi - lo))])
-
-
 def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     """x^(lead-zeta-alpha)/Gamma(alpha) int_a^x (x-v)^(alpha-1) v^zeta kernel(v/x) f(v) dv,
-    a != 0 only with zeta = 0 and lead = alpha.  A compact support [lo, hi]
-    clipped at a goes to _window if it starts past a, or else a Jacobi rule on
-    (a, min(x, hi)) absorbs v^(zeta + f's zero order) at a = 0."""
+    the one body of every integral over a bounded interval.  a != 0 only with
+    zeta = 0 and lead = alpha, and then x and a may be negative, as in
+    weyl_right's reflected call.  A compact support [lo, hi] of f narrows the
+    interval to [lo, min(x, hi)], lo clipped at a.  A Jacobi weight absorbs
+    v^(zeta + f's zero order) only when lo = 0; for lo != 0, v^zeta and the
+    kernel stay in the integrand.  For x <= hi the weight also absorbs
+    (x-v)^(alpha-1).  Past hi, w = x - v = near (far/near)^t with near = x - hi
+    and far = x - lo turns (x-v)^(alpha-1) dv, nearly singular at v = hi when
+    near is small, into the smooth ln(far/near) w^alpha dt."""
     compact = f.tail is not None and f.tail[0] == "compact"
     lo, hi = (max(f.tail[1], a), f.tail[2]) if compact else (a, math.inf)
     if x <= lo or lo >= hi:
         return EXACT_ZERO
-    order, res = f.split_power() if a == 0.0 else (0.0, f)
-    if lo == a and zeta + order <= -1.0:
-        raise TailDivergence(f"v^zeta f(v) ~ v^{zeta + order} is not integrable at {a}")
-    if lo > a:
-        g = f if kernel is None else callback(lambda v: kernel(v / x) * f(v))
-        pref = x ** (lead - zeta - alpha)
-        return _window(replace(g, tail=("compact", lo, hi)), x, alpha, zeta, pref, True, q)
-    span, inside = min(x, hi) - a, x <= hi
+    order, res = f.split_power() if lo == 0.0 else (0.0, f)
+    b = zeta + order if lo == 0.0 else 0.0  # the power of v in the weight
+    if b <= -1.0:
+        raise TailDivergence(f"v^zeta f(v) ~ v^{b} is not integrable at 0")
+
+    if x <= hi:
+        span = x - lo
+
+        def g(t):
+            v = lo + span * t
+            vals = np.asarray(res(v), dtype=float)
+            if lo and zeta:
+                vals = vals * v**zeta
+            if kernel is not None:  # v/x, and t itself when lo = 0 and span = x
+                vals = kernel(lo / x + t * (span / x)) * vals
+            return vals
+
+        # span = x when lo = 0
+        scale = x ** (lead - zeta - alpha) * span**alpha if lo else span ** (lead + order)
+        return doubling_sum(q, [((alpha - 1.0, b), g, scale / _gamma(alpha))])
+
+    near, far = x - hi, x - lo
+    log_ratio = math.log1p((hi - lo) / near)
 
     def g(t):
-        v = a + span * t
-        vals = np.asarray(res(v), dtype=float)
-        if kernel is not None:  # a = 0: v/x, and t itself when span = x
-            vals = kernel(t * (span / x)) * vals
-        return vals if inside else (x - v) ** (alpha - 1.0) * vals
+        # v runs from hi at t = 0 to lo at t = 1, where v / (1 - t) stays
+        # finite for lo = 0
+        v = lo - far * np.expm1((t - 1.0) * log_ratio)
+        vals = np.asarray(res(v), dtype=float) * (far * np.exp((t - 1.0) * log_ratio)) ** alpha
+        vals = vals * (v**zeta if lo else (v / (1.0 - t)) ** b)
+        if kernel is not None:
+            vals = kernel(v / x) * vals
+        return vals
 
-    if inside:
-        ab, scale = (alpha - 1.0, zeta + order), span ** (lead + order)
-    else:  # (x-v)^(alpha-1) is smooth on the support
-        ab, scale = (0.0, zeta + order), x ** (lead - zeta - alpha) * span ** (zeta + order + 1.0)
-    return doubling_sum(q, [(ab, g, scale / _gamma(alpha))])
+    scale = x ** (lead - zeta - alpha) * log_ratio
+    return doubling_sum(q, [((b, 0.0), g, scale / _gamma(alpha))])
 
 
 @quad_operator
@@ -464,59 +460,45 @@ def riemann_liouville(f, x, *, alpha, a=0.0, q):
 def _half_line(f, s, q):
     """int_0^inf w^(s-1) f(w) dw for a function with declared endpoint behaviour.
 
-    The integral is split at 1; the head absorbs w^(s-1) and the declared
-    power of f at zero into a Jacobi weight, the tail uses the declared decay
-    (a reciprocal Jacobi substitution for a power tail, octave Gauss-Legendre
-    segments out to EXP_HORIZON / rate for an exponential tail).  A compact
-    support [lo, hi] bounds the head at hi, or, for lo > 0, is one
-    Gauss-Legendre segment.  All segments share one rule, so f is evaluated
-    once per estimate on the (segments x nodes) grid.
+    A compact support [lo, hi] is the first kind at x = hi with alpha = 1 and
+    zeta = s - 1, so no rule crosses a jump of f at either end.  Otherwise
+    the integral is split at 1; the head absorbs w^(s-1) and the declared
+    power of f at zero into a Jacobi weight on (0, 1), the tail uses the
+    declared decay (a reciprocal Jacobi substitution for a power tail,
+    octave Gauss-Legendre segments out to EXP_HORIZON / rate for an
+    exponential tail).  All segments share one rule, so f is evaluated once
+    per estimate on the (segments x nodes) grid.
     """
     order, res = f.split_power()
     if f.tail is None:
         raise TailDivergence("the integral needs a declared tail to reach infinity")
     kind = f.tail[0]
-    head = 1.0  # the Jacobi head rule covers (0, head)
-    segments = []  # Gauss-Legendre segments (lo, hi) beyond the head
-    if kind == "power":
-        m = f.tail[1]
-        if s >= m:
-            raise TailDivergence(
-                f"int_0^inf w^(s-1) f(w) dw diverges at infinity: "
-                f"s = {s} >= declared decay {m}"
-            )
-    elif kind == "exp":
-        n_seg = max(1, math.ceil(math.log2(EXP_HORIZON) - math.log2(f.tail[1])))
-        segments = [(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]
-    elif kind == "compact":
-        # no rule may cross a jump of f at either end of its support
-        _, lo, hi = f.tail
-        if lo > 0.0:
-            head = 0.0
-            segments = [(lo, hi)]
-        else:
-            head = min(1.0, hi)
-            if hi > 1.0:
-                segments = [(1.0, hi)]
-    else:
+    if kind == "power" and s >= f.tail[1]:
+        raise TailDivergence(
+            f"int_0^inf w^(s-1) f(w) dw diverges at infinity: "
+            f"s = {s} >= declared decay {f.tail[1]}"
+        )
+    if kind not in ("power", "exp", "compact"):
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    if head and s + order <= 0.0:
+    if s + order <= 0.0 and (kind != "compact" or f.tail[1] <= 0.0):
         raise DomainError(
             f"int_0^inf w^(s-1) f(w) dw diverges at zero: s + zero order = {s + order} <= 0"
         )
+    if kind == "compact":
+        return _first_kind(f, f.tail[2], 1.0, s - 1.0, s, q)
 
-    pieces = []
-    if head:
-        pieces.append(((0.0, s - 1.0 + order), lambda t: res(head * t), head ** (s + order)))
+    pieces = [((0.0, s - 1.0 + order), res, 1.0)]
     if kind == "power":
+        m = f.tail[1]
 
         def tail(t):
             w = 1.0 / t
             return np.asarray(f(w), dtype=float) * w**m
 
         pieces.append(((0.0, m - s - 1.0), tail, 1.0))
-    if segments:
-        lo, hi = np.array(segments).T[:, :, None]
+    else:
+        n_seg = max(1, math.ceil(math.log2(EXP_HORIZON) - math.log2(f.tail[1])))
+        lo, hi = np.array([(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]).T[:, :, None]
 
         def seg(t):
             w = lo + (hi - lo) * t
@@ -535,8 +517,10 @@ def weyl_right(f, x, *, alpha, q):
     (1/Gamma(alpha)) int_x^inf (v-x)^(alpha-1) f(v) dv
       = (1/Gamma(alpha)) int_0^inf w^(alpha-1) f(x+w) dw,
     the half-line body that mellin_numeric_1d shares, at s = alpha.  At x = 0
-    the body takes f itself with its zero order; past 0 a compact support
-    goes to _window, and any other tail gives the body f(x + w)."""
+    the body takes f itself with its zero order.  Past 0 a compact support
+    [lo, hi] makes it the left integral of f(-.) from -hi, taken at -x: the
+    first-kind body, reflected by the exact map v -> -v.  Any other tail
+    gives the half-line body f(x + w)."""
     f = as_test_function(f)
     x = float(x)
     if x < 0:
@@ -545,7 +529,9 @@ def weyl_right(f, x, *, alpha, q):
     if x == 0.0:
         g = f
     elif f.tail is not None and f.tail[0] == "compact":
-        return _window(f, x, alpha, 0.0, 1.0, False, q)
+        _, lo, hi = f.tail
+        g = callback(lambda v: f(-v), tail=("compact", -hi, -lo))
+        return _first_kind(g, -x, alpha, 0.0, alpha, q, a=-hi)
     else:
         # f(x + w) may be singular at w = -x.  w = c u with c = x keeps that
         # point a unit away from the head rule's end and, for a power tail,

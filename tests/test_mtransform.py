@@ -67,12 +67,24 @@ def test_mellin_compact_support_away_from_the_unit_point():
     )
     low = callback(lambda v: np.where(v < 0.5, 1.0, 0.0), tail=("compact", 0.0, 0.5))
     np.testing.assert_allclose(mellin_numeric_1d(low, 1.5), 0.5**1.5 / 1.5, rtol=1e-11)
+    # across the unit point one Jacobi rule on [0, 30] takes the zero order:
+    # int_0^30 v^(s-1) v^-0.5 (1 + v) dv
+    wide = callback(
+        lambda v: np.where(v < 30.0, v**-0.5 * (1.0 + v), 0.0),
+        zero_order=-0.5,
+        tail=("compact", 0.0, 30.0),
+    )
+    want = 30.0**0.7 / 0.7 + 30.0**1.7 / 1.7
+    np.testing.assert_allclose(mellin_numeric_1d(wide, 1.2), want, rtol=1e-11)
 
 
 def test_mellin_scalar_callback_on_a_segment():
     # a callback's output is broadcast to its nodes, as on every other path
     one = callback(lambda v: 1.0, tail=("compact", 1.0, 2.0))
     np.testing.assert_allclose(mellin_numeric_1d(one, 0.5), (2.0**0.5 - 1.0) / 0.5, rtol=1e-13)
+    np.testing.assert_allclose(mellin_numeric_1d(one, 1.0), 1.0, rtol=1e-13)
+    from_zero = callback(lambda v: 1.0, tail=("compact", 0.0, 2.0))
+    np.testing.assert_allclose(mellin_numeric_1d(from_zero, 0.5), 2.0**0.5 / 0.5, rtol=1e-13)
 
 
 def test_mellin_power_decay_tail():

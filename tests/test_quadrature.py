@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from kober.errors import QuadratureNotConverged
+from kober.errors import QuadratureNotConverged, RatioOverflow
 from kober.quadrature import (
     QuadConfig,
     converge_doubling,
@@ -74,6 +74,21 @@ def test_converge_doubling_raises_when_estimates_drift():
 
     with pytest.raises(QuadratureNotConverged):
         converge_doubling(estimate, QuadConfig(max_doublings=4))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_converge_doubling_stops_at_a_non_finite_estimate(value):
+    # an integrand out of the floating range raises at once instead of
+    # doubling to the end of the budget
+    sizes = []
+
+    def g(t):
+        sizes.append(len(t))
+        return np.full_like(t, value)
+
+    with pytest.raises(RatioOverflow):
+        doubling_sum(QuadConfig(), [(None, g, 1.0)])
+    assert sizes == [QuadConfig().base_nodes]
 
 
 def test_doubling_sum_adds_jacobi_and_legendre_pieces():

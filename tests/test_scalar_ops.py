@@ -15,6 +15,7 @@ from kober.errors import (
     HypergeometricNonConvergent,
     KoberError,
     NonDifferentiable,
+    RatioOverflow,
     TailDivergence,
 )
 from kober.mtransform import mellin_numeric_1d
@@ -215,11 +216,17 @@ def test_weyl_right_compact_support_window():
         lambda v: np.where((v >= 0.5) & (v <= 1.5), np.sin(v), 0.0),
         tail=("compact", 0.5, 1.5),
     )
-    for x, lo in ((1.0, 1.0), (0.2, 0.5)):
+    for x, lo in ((1.0, 1.0), (0.2, 0.5), (0.49, 0.5)):
         expect = float(
             mp.quad(lambda t: (t - x) ** -0.3 * mp.sin(t), [lo, 1.5]) / mp.gamma(0.7)
         )
         np.testing.assert_allclose(weyl_right(box, x, alpha=0.7), expect, rtol=1e-8)
+    # the support lies wholly below a point past hi
+    assert weyl_right(box, 2.0, alpha=0.7) == 0.0
+    # a callback's constant output is broadcast to the nodes
+    one = callback(lambda v: 1.0, tail=("compact", 0.5, 1.5))
+    want = (1.3**0.7 - 0.3**0.7) / 0.7 * rgamma(0.7)
+    np.testing.assert_allclose(weyl_right(one, 0.2, alpha=0.7), want, rtol=1e-12)
 
 
 def test_compact_support_zero_exits_report_quad_info():
@@ -284,7 +291,7 @@ def test_second_kind_at_extreme_points(name, f, zeta, u):
     # u^-3 at u = 1e-300 lies beyond the float range; every other point has
     # a value, 0.0 where it underflows
     if name == "power" and u == 1e-300:
-        with pytest.raises(KoberError):
+        with pytest.raises(RatioOverflow):
             kober_second(f, u, zeta=zeta, alpha=0.5)
         return
     want = _second_kind_closed_form(name, u)
@@ -367,6 +374,34 @@ def test_rl_compact_support(x, alpha, a):
         )[0]
     val = riemann_liouville(f, x, alpha=alpha, a=a)
     np.testing.assert_allclose(val, expect * rgamma(alpha), rtol=1e-8)
+
+
+@pytest.mark.parametrize("op", ["riemann_liouville", "kober_first", "weyl_right"])
+@pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-12])
+def test_point_just_past_the_support_end(op, gap):
+    # f = 1 on (0.5, 2), alpha = 0.3: (x - v)^(alpha - 1) is nearly singular
+    # at the support's end.  The reference takes near and far, the distances
+    # from x to the two ends, from the floats themselves
+    lo, hi, alpha = 0.5, 2.0, 0.3
+    f = callback(lambda v: np.where((v > lo) & (v < hi), 1.0, 0.0), tail=("compact", lo, hi))
+    if op == "weyl_right":
+        x = lo - gap
+        near, far = lo - x, hi - x
+        val, info = weyl_right(f, x, alpha=alpha, full_output=True)
+    else:
+        x = hi + gap
+        near, far = x - hi, x - lo
+        if op == "riemann_liouville":
+            val, info = riemann_liouville(f, x, alpha=alpha, full_output=True)
+        else:
+            val, info = kober_first(f, x, zeta=1.0, alpha=alpha, full_output=True)
+    # i0 and i1: int w^(alpha-1) dw and int w^alpha dw over [near, far]
+    want = i0 = (far**alpha - near**alpha) / alpha * rgamma(alpha)
+    if op == "kober_first":  # zeta = 1: v = x - w
+        i1 = (far ** (alpha + 1.0) - near ** (alpha + 1.0)) / (alpha + 1.0) * rgamma(alpha)
+        want = x ** (-1.0 - alpha) * (x * i0 - i1)
+    np.testing.assert_allclose(val, want, rtol=1e-12)
+    assert info.nodes <= 128
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
@@ -670,18 +705,21 @@ def _sin_box():
 @pytest.mark.parametrize("alpha", [0.4, 1.3])
 @pytest.mark.parametrize("u", [0.8, 1.5, 3.0])
 def test_saigo_compact_support(u, alpha):
-    # a rule across the jump at either end of the support would not converge
-    zeta, beta, gam = 1.0, -0.2, 0.5
+    # a rule across the jump at either end of the support would not converge;
+    # off 0 v^zeta is part of the integrand, so zeta = -1.5 is integrable
+    beta, gam = -0.2, 0.5
+    for zeta in (1.0, -1.5):
 
-    def h(v):
-        return v**zeta * hyp2f1(alpha + beta, -gam, alpha, 1.0 - v / u) * (np.sin(v) + 2.0)
+        def h(v):
+            return v**zeta * hyp2f1(alpha + beta, -gam, alpha, 1.0 - v / u) * (np.sin(v) + 2.0)
 
-    if u <= 2.0:  # the kernel (u - v)^(alpha - 1) as quad's algebraic weight
-        expect = integrate.quad(h, 0.5, u, weight="alg", wvar=(0.0, alpha - 1.0))[0]
-    else:
-        expect = integrate.quad(lambda v: (u - v) ** (alpha - 1.0) * h(v), 0.5, 2.0)[0]
-    val = saigo_first(_sin_box(), u, zeta=zeta, alpha=alpha, beta=beta, gamma=gam)
-    np.testing.assert_allclose(val, expect * u ** (-zeta - alpha) * rgamma(alpha), rtol=1e-9)
+        if u <= 2.0:  # the kernel (u - v)^(alpha - 1) as quad's algebraic weight
+            expect = integrate.quad(h, 0.5, u, weight="alg", wvar=(0.0, alpha - 1.0))[0]
+        else:
+            expect = integrate.quad(lambda v: (u - v) ** (alpha - 1.0) * h(v), 0.5, 2.0)[0]
+        val = saigo_first(_sin_box(), u, zeta=zeta, alpha=alpha, beta=beta, gamma=gam)
+        want = expect * u ** (-zeta - alpha) * rgamma(alpha)
+        np.testing.assert_allclose(val, want, rtol=1e-9)
 
 
 @pytest.mark.parametrize("f", [power_times_exp(0.7, 1.3), _sin_box(), _box_from_zero()])
