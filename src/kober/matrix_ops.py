@@ -9,9 +9,10 @@ the constant, and errors come only from Monte Carlo noise.
 
 A law that reads only log|V_j| (det_power: b = 0, no callback) needs only
 log|W_j| of each beta draw, and log|V_j| = log|U_j| +- log|W_j|.  Such an
-estimate draws log|W_j| as a sum of p univariate beta logs (Muirhead 1982,
-Thm 3.3.3; randmat.matrix_beta_logdet) and forms no W.  Every other law and
-every callback draws the triangular beta factor K_j of W_j = K_j K_j'.
+estimate draws log|W_j| from ceil(p/2) univariate betas (Muirhead 1982,
+Thm 3.3.3, with Legendre duplication; randmat.matrix_beta_logdet) and forms
+no W.  Every other law and every callback draws the triangular beta factor
+K_j of W_j = K_j K_j'.
 """
 
 import math
@@ -32,6 +33,7 @@ from .randmat import (
     matrix_beta_factor,
     matrix_beta_logdet,
     wishart_factor,
+    wishart_logdet,
 )
 from .spd import require_spd, sym_sqrt
 
@@ -222,16 +224,25 @@ class MatrixTestFunction:
         """Integral of f over the cone (None when it diverges)."""
         return self.mellin(((self.p + 1) / 2.0,) * self.k)
 
+    def wishart_params(self):
+        """(dfs, scale) with V_j = scale^2 S_j, S_j ~ Wishart(dfs[j], I),
+        following the normalized density f / normalizer: dfs[j] =
+        2 (a_j + (p+1)/2) and scale = 1 / sqrt(2 b).  None for callbacks and
+        b = 0."""
+        if self.fn is not None or not self.b:
+            return None
+        return [2.0 * (a + (self.p + 1) / 2.0) for a in self.a], 1.0 / math.sqrt(2.0 * self.b)
+
     def sampler(self):
         """Returns draw(stream_or_rng, size) -> per slot the lower-triangular
         factor C_j, a smallmat stack of size members, of V_j = C_j C_j'
-        following the normalized density f / normalizer: C_j is the Bartlett
-        factor of Wishart(2 (a_j + (p+1)/2), I) over sqrt(2 b).  None for
+        following the normalized density f / normalizer: C_j is scale times
+        the Bartlett factor of Wishart(dfs[j], I) (wishart_params).  None for
         callbacks and b = 0."""
-        if self.fn is not None or not self.b:
+        law = self.wishart_params()
+        if law is None:
             return None
-        dfs = [2.0 * (a + (self.p + 1) / 2.0) for a in self.a]
-        scale = 1.0 / math.sqrt(2.0 * self.b)
+        dfs, scale = law
 
         def draw(stream, size):
             rng = _resolve_rng(stream)
@@ -402,8 +413,9 @@ def _operator_draws(kind, params, f, extra=()):
     beta draws W_j = K_j K_j' per slot, weighted by |W_j|^(-power), at
     V_j = c C_j C_j' with C_j = R_j K_j (first kind) or R_j K_j^(-T), for
     roots R_j = roots[j] with c R_j R_j' = U_j and log|U_j| = log_u[j].  A
-    det_only law reads log|V_j| = log|U_j| +- log|W_j| alone, drawn from p
-    univariate betas per slot, and needs no roots."""
+    det_only law reads log|V_j| = log|U_j| +- log|W_j| alone, drawn from
+    ceil(p/2) univariate betas per slot (randmat.matrix_beta_logdet), and
+    needs no roots."""
     det_only = f.fn is None and not f.b
     sign = 1.0 if kind == "first" else -1.0
     props = _proposals(params)
@@ -463,7 +475,8 @@ def kober_matrix_second(params, f, U, mc=None):
     Each slot reduces exactly to an expectation over W_j ~ matrix-beta:
     value = prod_j Gamma_p(z_j)/Gamma_p(z_j+a_j) * E[ f(U^(1/2) W^(-1) U^(1/2)) ].
     For det_power only log|V| = log|U| - log|W| is needed, and log|W| is
-    drawn from p univariate betas (Muirhead 1982, Thm 3.3.3).  Otherwise
+    drawn from ceil(p/2) univariate betas (Muirhead 1982, Thm 3.3.3, with
+    Legendre duplication; randmat.matrix_beta_logdet).  Otherwise
     W^(-1) and |W| come from the triangular factor K of each beta draw, so
     V = C C' with C = U^(1/2) K^(-T).
     """
@@ -476,7 +489,8 @@ def kober_matrix_first(params, f, U, mc=None):
     value = prod_j Gamma_p(z_j+(p+1)/2)/Gamma_p(z_j+(p+1)/2+a_j)
             * E[ f(U^(1/2) W U^(1/2)) ], W_j ~ matrix-beta(z_j+(p+1)/2, a_j).
     For det_power only log|V| = log|U| + log|W| is needed, and log|W| is
-    drawn from p univariate betas (Muirhead 1982, Thm 3.3.3).  Otherwise
+    drawn from ceil(p/2) univariate betas (Muirhead 1982, Thm 3.3.3, with
+    Legendre duplication; randmat.matrix_beta_logdet).  Otherwise
     W = K K' comes from the beta factor, and V = C C' with C = U^(1/2) K.
     """
     return _kober_matrix("first", params, f, U, mc)
@@ -512,23 +526,6 @@ def density_constant(params, chain=None):
     ))
 
 
-def _density_mode_factors(params, f_sampler, stream, size, chain):
-    """The draws of density_mode_sample as factors: per slot (C, K, log|U|)
-    with C the factor of V from f_sampler and K that of the beta draw
-    Y = K K', so U = C Y C' (second kind) or C Y^(-1) C' (first kind)."""
-    shapes = _beta_shapes(params, chain)
-    rng = _resolve_rng(stream)
-    cs = f_sampler(rng, size)
-    if len(cs) != params.k:
-        raise DomainError(f"f_sampler returned {len(cs)} blocks, need {params.k}")
-    out = []
-    for (a, b), c in zip(shapes, cs):
-        k = matrix_beta_factor(BetaMatParams(params.p, a, b), rng, size)
-        sign = 1.0 if params.kind == "second" else -1.0
-        out.append((c, k, smallmat.logdet(c) + sign * smallmat.logdet(k)))
-    return out
-
-
 def density_mode_sample(params, f_sampler, stream, size, chain=None):
     """Draws (U_1..U_k) from the density proportional to the operator output.
 
@@ -540,8 +537,31 @@ def density_mode_sample(params, f_sampler, stream, size, chain=None):
     C_j = V_j^(1/2) H_j with H_j orthogonal, and the beta law is invariant
     under Y -> H'YH, so U_j has the law of V_j^(1/2) Y_j V_j^(1/2).
     """
+    shapes = _beta_shapes(params, chain)
+    rng = _resolve_rng(stream)
+    cs = f_sampler(rng, size)
+    if len(cs) != params.k:
+        raise DomainError(f"f_sampler returned {len(cs)} blocks, need {params.k}")
     out = []
-    for c, k, _ in _density_mode_factors(params, f_sampler, stream, size, chain):
-        b = k if params.kind == "second" else smallmat.inv_factor(k)
-        out.append(smallmat.stack(smallmat.congruence(c, b)))
+    for (a, b), c in zip(shapes, cs):
+        k = matrix_beta_factor(BetaMatParams(params.p, a, b), rng, size)
+        y = k if params.kind == "second" else smallmat.inv_factor(k)
+        out.append(smallmat.stack(smallmat.congruence(c, y)))
+    return out
+
+
+def _density_mode_logdets(params, f, stream, size, chain=None):
+    """Per slot log|U_j| of density_mode_sample draws with f.sampler(), and
+    no U_j: log|U_j| = log|V_j| + log|Y_j| (second kind) or - log|Y_j|
+    (first kind).  log|V_j| is drawn from the chi-squares of the Bartlett
+    diagonal of f's Wishart law (wishart_params, randmat.wishart_logdet),
+    log|Y_j| from ceil(p/2) univariate betas (randmat.matrix_beta_logdet),
+    slot by slot, V_j before Y_j."""
+    dfs, scale = f.wishart_params()
+    rng = _resolve_rng(stream)
+    sign = 1.0 if params.kind == "second" else -1.0
+    out = []
+    for df, (a, b) in zip(dfs, _beta_shapes(params, chain)):
+        log_v = wishart_logdet(params.p, df, rng, size) + 2.0 * params.p * math.log(scale)
+        out.append(log_v + sign * matrix_beta_logdet(BetaMatParams(params.p, a, b), rng, size))
     return out

@@ -26,7 +26,7 @@ from .errors import DomainError, ProposalDomainError, RatioOverflow, TailDiverge
 from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
     MCConfig,
-    _density_mode_factors,
+    _density_mode_logdets,
     _gamma_args,
     _mc_expectation,
     _operator_draws,
@@ -372,28 +372,27 @@ def mtransform_mc(params, f, s, mc=None, chain=None):
     """Transform of the operator output via the density interpretation.
 
     The operator output equals density_constant * (normalizer of f) * the
-    density of the density-mode draws, so the transform is that constant
-    times the joint moment E prod_j |U_j|^(s_j-(p+1)/2), with log|U_j| taken
-    from the factors of the draw.  DomainError where f's own transform
-    diverges at s.
+    density of the density-mode draws (density_mode_sample), so the
+    transform is that constant times the joint moment
+    E prod_j |U_j|^(s_j-(p+1)/2).  The moment reads only log|U_j|, so no
+    matrix is drawn, only chi-squares (matrix_ops._density_mode_logdets).
+    DomainError where f's own transform diverges at s, and for callbacks
+    and b = 0 laws, which have no normalised Wishart law.
     """
     mc = mc or MCConfig()
     pt, _ = _transform_args(params, s)
     f.mellin(pt)  # raises DomainError where f's own transform diverges
-    sampler = f.sampler()
-    norm = f.normalizer()
-    if sampler is None or norm is None:
+    if f.wishart_params() is None:
         raise DomainError(
             f"family {f.family!r} has no normalised sampler for the density route"
         )
-    scale = density_constant(params, chain) * norm
+    scale = density_constant(params, chain) * f.normalizer()
     shifts = [sj - (params.p + 1) / 2.0 for sj in pt]
 
     def vals_fn(rng, m):
-        draws = _density_mode_factors(params, sampler, rng, m, chain)
         logs = 0.0
-        for sh, (_, _, logdet_u) in zip(shifts, draws):
-            logs = logs + sh * logdet_u
+        for sh, log_u in zip(shifts, _density_mode_logdets(params, f, rng, m, chain)):
+            logs = logs + sh * log_u
         return np.exp(logs)
 
     return _mc_expectation(vals_fn, mc, scale=scale)

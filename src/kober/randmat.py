@@ -4,9 +4,11 @@ All samplers are pure functions of an RngStream value: identical (seed,
 stream_id) pairs reproduce identical draws.  Batches are stacked along the
 leading axis with shape (n, p, p); wishart_factor and matrix_beta_factor
 return the lower-triangular factors of the draws as smallmat stacks, from
-which inverses and log-determinants follow without a decomposition, and
-matrix_beta_logdet draws log|X| of a matrix-beta X alone, from p univariate
-betas.
+which inverses and log-determinants follow without a decomposition.  An
+estimate that reads only determinants draws no matrix: wishart_logdet
+draws log|S| of a Wishart S from the p chi-squares of its Bartlett
+diagonal, and matrix_beta_logdet draws log|X| of a matrix-beta X from
+ceil(p/2) univariate betas.
 """
 
 from dataclasses import dataclass
@@ -87,6 +89,15 @@ def _resolve_rng(stream):
     raise DomainError(f"expected RngStream, StreamBatch or Generator, got {type(stream)!r}")
 
 
+def _bartlett_diagonal(p, df, rng, size):
+    """The squared Bartlett diagonal of W_p(df, I) draws: chi-square draws
+    with df - i + 1 degrees of freedom, i = 1..p, in that order."""
+    check_dim(p)
+    if not df > p - 1:
+        raise DomainError(f"Wishart needs df > p - 1, got df={df} at p={p}")
+    return [rng.chisquare(df - i, size=size) for i in range(p)]
+
+
 def wishart_factor(p, df, stream, size=1):
     """Bartlett factor T of W_p(df, I) draws S = T T', as a smallmat stack.
 
@@ -94,18 +105,22 @@ def wishart_factor(p, df, stream, size=1):
     df - i + 1 degrees of freedom (i = 1..p) and the subdiagonal entries are
     standard normal.
     """
-    check_dim(p)
-    if not df > p - 1:
-        raise DomainError(f"Wishart needs df > p - 1, got df={df} at p={p}")
     rng = _resolve_rng(stream)
     t = [[None] * p for _ in range(p)]
-    for i in range(p):
-        t[i][i] = np.sqrt(rng.chisquare(df - i, size=size))
+    for i, x in enumerate(_bartlett_diagonal(p, df, rng, size)):
+        t[i][i] = np.sqrt(x)
     lower = [(i, j) for i in range(p) for j in range(i)]  # np.tril_indices(p, -1) order
     normals = rng.standard_normal((size, len(lower))).T.copy()
     for (i, j), z in zip(lower, normals):
         t[i][j] = z
     return t
+
+
+def wishart_logdet(p, df, stream, size=1):
+    """log|S| of W_p(df, I) draws S, without S: the sum of the logs of the
+    Bartlett diagonal's chi-squares, the draws with which wishart_factor
+    on the same stream begins."""
+    return sum(np.log(x) for x in _bartlett_diagonal(p, df, _resolve_rng(stream), size))
 
 
 def sample_wishart(p, df, stream, size=1):
@@ -139,18 +154,29 @@ def matrix_beta_logdet(params, stream, size=1):
 
     |X| has the law of u_1 ... u_p with u_i ~ beta(a - (i-1)/2, b)
     independent (Muirhead 1982, Aspects of Multivariate Statistical Theory,
-    Thm 3.3.3), and each u_i is drawn as x_i / (x_i + y_i), x_i ~
-    chi2(2a - i + 1) and y_i ~ chi2(2b), in the order x_1, y_1, ..., x_p,
-    y_p.  The log u_i are summed rather than multiplied first: the last
-    u_i has first shape a - (p-1)/2, which may be near 0, and then
-    P(u_p < t) is about t^shape, so a product of p factors can underflow
-    to 0 where every factor, and so every log, is still finite.
+    Thm 3.3.3).  By Legendre's duplication formula a pair u_i u_(i+1), of
+    shapes (c, b) and (c - 1/2, b), has the law of v^2 with
+    v ~ beta(2c - 1, 2b): their Mellin moments agree.  So u_1 u_2, u_3 u_4,
+    ... are drawn as one beta each, and for odd p u_p alone.  Each beta of
+    shapes (g, h) is x / (x + y), x ~ chi2(2g) and y ~ chi2(2h), drawn in
+    that order, pair by pair.  The logs are summed rather than the betas
+    multiplied first: near the bound a first shape, 2a - 1 at p = 2 or
+    a - (p-1)/2 at p = 3, is near 0, and then P(beta < t) is about
+    t^shape, so a product can underflow to 0 where every factor, and so
+    every log, is still finite.
     """
     rng = _resolve_rng(stream)
+    a, b, p = params.a, params.b, params.p
+
+    def log_beta(g, h):
+        x = rng.chisquare(2.0 * g, size=size)
+        return np.log(x / (x + rng.chisquare(2.0 * h, size=size)))
+
     out = 0.0
-    for i in range(params.p):
-        x = rng.chisquare(2.0 * params.a - i, size=size)
-        out = out + np.log(x / (x + rng.chisquare(2.0 * params.b, size=size)))
+    for i in range(0, p - 1, 2):
+        out = out + 2.0 * log_beta(2.0 * (a - i / 2.0) - 1.0, 2.0 * b)
+    if p % 2:
+        out = out + log_beta(a - (p - 1) / 2.0, b)
     return out
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import kober.scalar_ops as so
 from kober import matrix_ops, mtransform, smallmat
@@ -11,6 +12,7 @@ from kober.matrix_ops import (
     ChainSpec,
     MatrixOpParams,
     MCConfig,
+    _density_mode_logdets,
     _f_of_factors,
     density_constant,
     density_mode_sample,
@@ -26,6 +28,7 @@ from kober.matrix_ops import (
 from kober.randmat import (
     BetaMatParams,
     RngStream,
+    StreamBatch,
     matrix_beta_det_moment,
     matrix_beta_factor,
     wishart_det_moment,
@@ -345,6 +348,40 @@ def test_density_mode_sample_first_kind_moments():
     )
     se = d.std(ddof=1) / math.sqrt(len(d))
     assert abs(d.mean() - expect) < 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "kind,p,f,chain",
+    [
+        ("second", 2, wishart_density(2, 5.0), None),
+        ("first", 2, det_power_times_exp(2, 2.2), None),
+        ("second", 3, exp_neg_trace(3), None),
+        ("first", 3, wishart_density(3, 4.5), None),
+        ("second", 2, exp_neg_trace(2, 2), ChainSpec("gamma_3_5", zeta=(1.8, 1.5, 1.2))),
+    ],
+)
+def test_density_mode_logdets_follow_the_sampled_law(kind, p, f, chain):
+    # two samples of log|U_j|: the density route's univariate draws against
+    # the log-determinants of density_mode_sample's dense draws
+    pairs = ((1.9, 1.3), (1.6, 1.2))[: f.k]
+    params = MatrixOpParams(kind, p, f.k, pairs)
+    fast = _density_mode_logdets(params, f, RngStream(60, p), 20000, chain)
+    slow = density_mode_sample(params, f.sampler(), RngStream(61, p), 20000, chain)
+    assert len(fast) == len(slow) == f.k
+    for a, u in zip(fast, slow):
+        sign, logdet = np.linalg.slogdet(u)
+        assert np.all(sign == 1.0)
+        assert stats.ks_2samp(a, logdet).pvalue > 0.01
+
+
+def test_density_mode_logdets_batch_slices_are_each_streams_own_draws():
+    params = MatrixOpParams("first", 3, 2, ((1.9, 1.3), (1.6, 1.2)))
+    f = det_power_times_exp(3, (2.2, 1.7))
+    batch = StreamBatch([RngStream(62, i).generator() for i in range(3)], 5)
+    got = _density_mode_logdets(params, f, batch, 15)
+    alone = [_density_mode_logdets(params, f, RngStream(62, i), 5) for i in range(3)]
+    for j, slot in enumerate(got):
+        assert np.array_equal(slot, np.concatenate([a[j] for a in alone]))
 
 
 # a callback reads the dense V, and det(V) ** lam is inf or NaN where V is

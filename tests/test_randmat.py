@@ -16,6 +16,8 @@ from kober.randmat import (
     sample_matrix_beta,
     sample_wishart,
     wishart_det_moment,
+    wishart_factor,
+    wishart_logdet,
 )
 from kober.spd import dirichlet_chain_forward, dirichlet_chain_inverse
 
@@ -134,11 +136,43 @@ def test_matrix_beta_logdet_matches_factor_law(p):
     assert stats.ks_2samp(fast, slow).pvalue > 0.01
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("gap", [0.05, 0.3])
+def test_matrix_beta_logdet_moments_near_the_bound(p, gap):
+    # the last univariate beta has first shape a - (p-1)/2 = gap; at p = 2
+    # it is paired with beta(a, b), at p = 3 it is drawn alone
+    prm = BetaMatParams(p, (p - 1) / 2.0 + gap, (p - 1) / 2.0 + 0.8)
+    logdet = matrix_beta_logdet(prm, RngStream(50 + p), size=200000)
+    assert np.all(np.isfinite(logdet))
+    for h in (0.5, 1.3):
+        mean_within(np.exp(h * logdet), matrix_beta_det_moment(prm, h), k=4.0)
+    expect = sum(digamma(prm.a - i / 2.0) - digamma(prm.a + prm.b - i / 2.0) for i in range(p))
+    mean_within(logdet, expect, k=4.0)
+
+
 def test_matrix_beta_logdet_batch_slices_are_each_streams_own_draws():
     prm = BetaMatParams(3, 1.8, 1.4)
     batch = StreamBatch([RngStream(43, i).generator() for i in range(3)], 5)
     got = matrix_beta_logdet(prm, batch, size=15)
     alone = [matrix_beta_logdet(prm, RngStream(43, i), size=5) for i in range(3)]
+    assert np.array_equal(got, np.concatenate(alone))
+
+
+@pytest.mark.parametrize("p,df", [(1, 0.7), (2, 1.4), (3, 6.0)])
+def test_wishart_logdet_is_the_bartlett_factors_logdet(p, df):
+    # the same chi-squares on the same stream: the log-determinant of the
+    # factor that wishart_factor goes on to build
+    got = wishart_logdet(p, df, RngStream(44, p), size=1000)
+    expect = smallmat.logdet(wishart_factor(p, df, RngStream(44, p), size=1000))
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
+    with pytest.raises(DomainError):
+        wishart_logdet(p, p - 1.0, RngStream(44, p), size=10)
+
+
+def test_wishart_logdet_batch_slices_are_each_streams_own_draws():
+    batch = StreamBatch([RngStream(45, i).generator() for i in range(3)], 5)
+    got = wishart_logdet(3, 4.5, batch, size=15)
+    alone = [wishart_logdet(3, 4.5, RngStream(45, i), size=5) for i in range(3)]
     assert np.array_equal(got, np.concatenate(alone))
 
 
