@@ -295,7 +295,7 @@ def _scalar_eval_rows(cfg):
             rows.append((pt, float(fn(f, pt, **kw)), None))
         else:
             val, info = fn(f, pt, **kw, full_output=True)
-            rows.append((pt, float(val), float(info.last_delta)))
+            rows.append((pt, val, info.last_delta))
     return rows, "err"
 
 

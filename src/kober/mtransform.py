@@ -33,12 +33,7 @@ from .matrix_ops import (
     _per_slot,
     density_constant,
 )
-from .quadrature import (
-    contract_slabs,
-    jacobi_rule_01,
-    legendre_rule_01,
-    quad_operator,
-)
+from .quadrature import grid_sum, jacobi_rule_01, legendre_rule_01, quad_operator
 from .randmat import wishart_factor
 
 # tensor quadrature drops a node whose coefficient times its tail bound is
@@ -275,10 +270,13 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
     return x, c
 
 
-def _joint_values(f, vs, shape):
-    """f.value on the slot stacks vs, which must come back with exactly the
-    broadcast shape; a callback that indexes v[:, i, j] instead of
-    v[..., i, j] collapses a broadcast axis and is refused here."""
+def _joint_values(f, *xs):
+    """f.value on the p = 1 slot stacks x[..., None, None] of the grid
+    arrays xs, which must come back with exactly their broadcast shape; a
+    callback that indexes v[:, i, j] instead of v[..., i, j] collapses a
+    broadcast axis and is refused here."""
+    vs = [x[..., None, None] for x in xs]
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
     vals = f.value(vs)
     if np.shape(vals) != shape:
         raise DomainError(
@@ -306,7 +304,7 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
     is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
     less than n_dropped * PRUNE_REL of K times the product of the axis sums.
     For a callback at k = 2, slabs of x1 of shape (rows, 1, 1, 1)
-    (quadrature.contract_slabs) are broadcast against x2 of shape
+    (quadrature.grid_sum) are broadcast against x2 of shape
     (1, n2, 1, 1), so f still sees every kept joint pair; f.value must
     broadcast its slots (index them as v[..., i, j]) and return exactly the
     shape (rows, n2), or DomainError is raised.
@@ -330,13 +328,7 @@ def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
             math.fsum((c * fj(x)).tolist()) for c, fj, x in zip(coeffs, factors, grids)
         )
 
-    stacks = [g[..., None, None] for g in np.meshgrid(*grids, indexing="ij", sparse=True)]
-
-    def slab(i, j):
-        a = stacks[0][i:j]
-        return _joint_values(f, [a] + stacks[1:], (len(a),) + tuple(x.size for x in grids[1:]))
-
-    return contract_slabs(slab, coeffs[0], coeffs[1:])
+    return grid_sum(lambda *xs: _joint_values(f, *xs), grids, coeffs)
 
 
 def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):

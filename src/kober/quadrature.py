@@ -2,7 +2,9 @@
 
 Endpoint singularities of the operator kernels are absorbed into the Jacobi
 weight (1-t)^a t^b on (0, 1); node counts are doubled until two successive
-estimates agree to the requested relative tolerance.
+estimates agree to the requested relative tolerance.  doubling_sum is the one
+body of every such estimate, on one axis or on the joint grid of several, and
+grid_sum the one sum over a joint grid.
 """
 
 import math
@@ -15,11 +17,11 @@ import numpy as np
 from .errors import DomainError, QuadratureNotConverged, RatioOverflow
 
 
-# joint-grid evaluators (multivariable operators, the p = 1 tensor transform
-# of callbacks) build and contract their grids in slabs of at most this many
-# entries, 512 kB of float64, so each slab and its temporaries stay in cache;
-# one k = 3 joint-grid call raises a process's peak memory by about 2 MB at
-# this size and 6 MB at 2^18
+# grid_sum (multivariable operators, the p = 1 tensor transform of callbacks)
+# builds and contracts its joint grid in slabs of at most this many entries,
+# 512 kB of float64, so each slab and its temporaries stay in cache; one
+# k = 3 joint-grid call raises a process's peak memory by about 2 MB at this
+# size and 6 MB at 2^18
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -106,7 +108,7 @@ def converge_doubling(evaluate, q: QuadConfig):
         cur = finite(n)
         delta = abs(cur - prev)
         if delta <= q.rel_tol * max(abs(cur), 1e-300):
-            return cur, QuadInfo(nodes=n, last_delta=delta)
+            return cur, QuadInfo(nodes=n, last_delta=float(delta))
         prev = cur
     raise QuadratureNotConverged(
         f"no convergence after {q.max_doublings} doublings "
@@ -115,42 +117,63 @@ def converge_doubling(evaluate, q: QuadConfig):
 
 
 def doubling_sum(q, pieces):
-    """converge_doubling of the n-node estimate sum_j c_j w_j @ g_j(t_j), the
-    terms added in the order of the pieces.  A piece (ab, g, c) has the
-    nodes t_j and weights w_j of jacobi_rule_01(n, *ab), or of
-    legendre_rule_01(n) for ab None; a scalar g_j(t_j), such as a callback's
-    constant output, stands for its value at every node."""
+    """converge_doubling of the n-node estimate sum_j c_j S_j, the terms
+    added in the order of the pieces: the one body of every doubling
+    estimate.  A piece (rules, g, c) names one rule per axis, the nodes and
+    weights of jacobi_rule_01(n, *ab) for a pair ab, of legendre_rule_01(n)
+    for None.  S_j is w @ g(t) on one axis, where a scalar g(t), such as a
+    callback's constant output, stands for its value at every node, and
+    grid_sum(g, nodes, weights) on two or more."""
 
     def estimate(n):
         total = None
-        for ab, g, c in pieces:
-            t, w = legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab)
-            vals = np.asarray(g(t), dtype=float)
-            term = c * float(w @ vals if vals.ndim else w.sum() * vals)
+        for rules, g, c in pieces:
+            axes = [legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab) for ab in rules]
+            if len(axes) > 1:
+                s = grid_sum(g, *zip(*axes))
+            else:
+                (t, w), = axes
+                vals = np.asarray(g(t), dtype=float)
+                s = w @ vals if vals.ndim else w.sum() * vals
+            term = c * float(s)
             total = term if total is None else total + term
         return total
 
     return converge_doubling(estimate, q)
 
 
-def contract_slabs(values, first, others):
-    """sum_(i, j..) first_i prod others_j values[i, j..] over a joint grid.
+def grid_sum(g, nodes, weights):
+    """sum_(i, j..) weights_1[i] prod weights_j[..] g(nodes_1[i], nodes_2[..], ..)
+    over the joint grid of the k axes.
 
-    The first axis is split into rows of CHUNK_ENTRIES // (the size of the
-    other axes), at least one.  values(i, j) returns the grid's rows i:j, of
-    shape (rows, n_2, ..., n_k); each slab is contracted with the other
-    axes' weights last to first, then with the first axis's, before the next
-    slab is built.
+    g receives one array per axis, axis j of its own dimension: the first
+    axis's rows (rows, 1, ..), the others (1, .., n_j, ..), and returns the
+    slab of shape (rows, n_2, ..., n_k), or of ndim k with 1 on the axes it
+    ignores, or a scalar; any other shape raises DomainError.  The first
+    axis is split into rows of CHUNK_ENTRIES // (the size of the other
+    axes), at least one; each slab is contracted with the other axes'
+    weights last to first, then with the first axis's, before the next slab
+    is built.
     """
-    rows = max(1, CHUNK_ENTRIES // math.prod(len(w) for w in others))
+    first, others = weights[0], weights[1:]
+    k = len(nodes)
+    sizes = tuple(len(w) for w in others)
+    rest = np.meshgrid(*nodes, indexing="ij", sparse=True)[1:]
+    rows = max(1, CHUNK_ENTRIES // math.prod(sizes))
     total = 0.0
     for i in range(0, len(first), rows):
+        head = nodes[0][i : i + rows].reshape((-1,) + (1,) * (k - 1))
+        shape = (len(head),) + sizes
         # vals stays alive until the next slab replaces it: freed within the
         # iteration, a 2 MB slab left the top of the heap free to be trimmed,
         # and every next slab faulted its pages in again (the k = 2 tensor
         # transform ran 3x slower, mostly in system time)
-        vals = values(i, i + rows)
-        out = vals
+        vals = np.asarray(g(head, *rest), dtype=float)
+        if vals.ndim not in (0, k) or any(m not in (1, n) for m, n in zip(vals.shape, shape)):
+            raise DomainError(
+                f"the joint integrand returned shape {vals.shape} on a slab of shape {shape}"
+            )
+        out = np.broadcast_to(vals, shape)
         for w in reversed(others):
             out = out @ w
         total += float(first[i : i + rows] @ out)
@@ -168,9 +191,10 @@ def quad_operator(op):
     op returns (value, QuadInfo) and receives q as a QuadConfig.  The
     decorated operator takes q=None for the default QuadConfig, checks that
     every fractional order in alpha (a scalar, or one per variable) is
-    positive, and returns the value, or (value, QuadInfo) with
-    full_output=True; QuadInfo has nodes == 0 where the result is exactly
-    zero without quadrature.  A float overflow raises RatioOverflow.
+    positive, and returns the value as a Python float, or (value, QuadInfo)
+    with full_output=True; QuadInfo.last_delta is a Python float as well,
+    and nodes == 0 where the result is exactly zero without quadrature.  A
+    float overflow raises RatioOverflow.
     """
 
     @wraps(op)
@@ -181,6 +205,7 @@ def quad_operator(op):
             val, info = op(*args, q=q or QuadConfig(), **params)
         except OverflowError as exc:  # e.g. a power of a point near 0 or inf
             raise RatioOverflow(f"{op.__name__}: a value exceeds the floating range") from exc
+        val = float(val)
         if full_output:
             return val, info
         return val

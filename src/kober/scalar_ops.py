@@ -18,7 +18,8 @@ max(1 - z, 0) and a support [lo, hi] [1/hi, 1/lo].  weyl_right, weyl_left and
 mtransform.mellin_numeric_1d share one half-line body, int_0^inf w^(s-1) f(w) dw:
 a Jacobi head on (0, 1) and a tail set by f's declared decay.  On a support
 [lo, hi] that body is the first kind at x = hi with alpha = 1, and weyl_right
-past 0 the first kind on f(-.) from -hi at -x.
+past 0 the first kind on f(-.) from -hi at -x.  Every estimate is a
+quadrature.doubling_sum, multivar_op's joint one a piece over its k-axis grid.
 """
 
 import itertools
@@ -39,10 +40,7 @@ from .quadrature import (
     EXACT_ZERO,
     QuadConfig,
     _check_order,
-    contract_slabs,
-    converge_doubling,
     doubling_sum,
-    jacobi_rule_01,
     quad_operator,
     scipy_special,
 )
@@ -383,7 +381,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
 
         # span = x when lo = 0
         scale = x ** (lead - zeta - alpha) * span**alpha if lo else span ** (lead + order)
-        return doubling_sum(q, [((alpha - 1.0, b), g, scale / _gamma(alpha))])
+        return doubling_sum(q, [(((alpha - 1.0, b),), g, scale / _gamma(alpha))])
 
     near, far = x - hi, x - lo
     log_ratio = math.log1p((hi - lo) / near)
@@ -399,7 +397,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
         return vals
 
     scale = x ** (lead - zeta - alpha) * log_ratio
-    return doubling_sum(q, [((b, 0.0), g, scale / _gamma(alpha))])
+    return doubling_sum(q, [(((b, 0.0),), g, scale / _gamma(alpha))])
 
 
 @quad_operator
@@ -487,7 +485,7 @@ def _half_line(f, s, q):
     if kind == "compact":
         return _first_kind(f, f.tail[2], 1.0, s - 1.0, s, q)
 
-    pieces = [((0.0, s - 1.0 + order), res, 1.0)]
+    pieces = [(((0.0, s - 1.0 + order),), res, 1.0)]
     if kind == "power":
         m = f.tail[1]
 
@@ -495,7 +493,7 @@ def _half_line(f, s, q):
             w = 1.0 / t
             return np.asarray(f(w), dtype=float) * w**m
 
-        pieces.append(((0.0, m - s - 1.0), tail, 1.0))
+        pieces.append((((0.0, m - s - 1.0),), tail, 1.0))
     else:
         n_seg = max(1, math.ceil(math.log2(EXP_HORIZON) - math.log2(f.tail[1])))
         lo, hi = np.array([(2.0**i, 2.0 ** (i + 1)) for i in range(n_seg)]).T[:, :, None]
@@ -507,7 +505,7 @@ def _half_line(f, s, q):
             vals = ((hi - lo) * w ** (s - 1.0)).ravel() * np.asarray(f(w.ravel()), dtype=float)
             return vals.reshape(w.shape).sum(axis=0)
 
-        pieces.append((None, seg, 1.0))
+        pieces.append(((None,), seg, 1.0))
     return doubling_sum(q, pieces)
 
 
@@ -683,9 +681,11 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
 
     kind is "first" or "second".  f is either a sequence of TestFunction1D
     (separable integrand) or a joint callable of k broadcastable arrays.
-    A joint callable is evaluated in slabs along the first variable
-    (quadrature.contract_slabs).  With full_output the info of a separable
-    integrand is the list of per-variable QuadInfo.
+    A joint callable is one doubling_sum piece over the k-axis grid
+    (quadrature.grid_sum, in slabs along the first variable); it must
+    return the broadcast shape of its arguments, 1 along any argument it
+    ignores, or a scalar, else DomainError is raised.  With full_output the
+    info of a separable integrand is the list of per-variable QuadInfo.
     """
     u, zeta, alpha, k = _check_multivar(u, zeta, alpha)
     if kind not in ("first", "second"):
@@ -716,23 +716,9 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
                 if kind == "first"
                 else f"zeta[{j}] must be positive for a joint second-kind integrand"
             )
-
-    def estimate(n):
-        vs, ws = [], []
-        for j in range(k):
-            t, w = jacobi_rule_01(n, alpha[j] - 1.0, zeta[j])
-            vs.append(u[j] * t)
-            ws.append(w / _gamma(alpha[j]))
-        others = np.meshgrid(*vs, indexing="ij", sparse=True)[1:]
-
-        def slab(i, j):
-            v0 = vs[0][i:j].reshape((-1,) + (1,) * (k - 1))
-            vals = np.asarray(f(v0, *others), dtype=float)
-            return np.broadcast_to(vals, (len(v0),) + (n,) * (k - 1))
-
-        return contract_slabs(slab, ws[0], ws[1:])
-
-    return converge_doubling(estimate, q)
+    rules = tuple((a - 1.0, z) for a, z in zip(alpha, zeta))
+    c = 1.0 / math.prod(_gamma(a) for a in alpha)
+    return doubling_sum(q, [(rules, lambda *ts: f(*(x * t for x, t in zip(u, ts))), c)])
 
 
 def multivar_frac_derivative(f, x, *, alpha, q=None):

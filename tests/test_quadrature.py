@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from kober.errors import QuadratureNotConverged, RatioOverflow
+from kober import quadrature
+from kober.errors import DomainError, QuadratureNotConverged, RatioOverflow
 from kober.quadrature import (
     QuadConfig,
     converge_doubling,
     doubling_sum,
+    grid_sum,
     jacobi_rule_01,
     legendre_rule_01,
 )
@@ -87,7 +91,7 @@ def test_converge_doubling_stops_at_a_non_finite_estimate(value):
         return np.full_like(t, value)
 
     with pytest.raises(RatioOverflow):
-        doubling_sum(QuadConfig(), [(None, g, 1.0)])
+        doubling_sum(QuadConfig(), [((None,), g, 1.0)])
     assert sizes == [QuadConfig().base_nodes]
 
 
@@ -95,9 +99,9 @@ def test_doubling_sum_adds_jacobi_and_legendre_pieces():
     # int_0^1 (1-t)^0.5 t^-0.3 (1 + t) dt = B(0.7, 1.5) + B(1.7, 1.5), then
     # 3 int_0^1 t^2 dt = 1 and 2 int_0^1 dt = 2
     pieces = [
-        ((0.5, -0.3), lambda t: 1.0 + t, 1.0),
-        (None, lambda t: t**2, 3.0),
-        (None, np.ones_like, 2.0),
+        (((0.5, -0.3),), lambda t: 1.0 + t, 1.0),
+        ((None,), lambda t: t**2, 3.0),
+        ((None,), np.ones_like, 2.0),
     ]
     val, info = doubling_sum(QuadConfig(base_nodes=8), pieces)
     want = beta_fn(0.7, 1.5) + beta_fn(1.7, 1.5) + 1.0 + 2.0
@@ -113,8 +117,77 @@ def test_doubling_sum_doubles_from_base_nodes():
         seen.append(len(t))
         return np.zeros_like(t)
 
-    val, info = doubling_sum(QuadConfig(base_nodes=3), [(None, np.exp, 1.0), (None, count, 1.0)])
+    val, info = doubling_sum(QuadConfig(base_nodes=3), [((None,), np.exp, 1.0), ((None,), count, 1.0)])
     np.testing.assert_allclose(val, np.e - 1.0, rtol=1e-12)
     assert len(seen) >= 2
     assert seen == [3 * 2**i for i in range(len(seen))]
     assert info.nodes == seen[-1]
+
+
+def test_doubling_sum_adds_a_joint_grid_piece_and_a_one_axis_piece():
+    # int int (1-t1)^0.5 t1^-0.3 (1-t2)^-0.2 t2^0.4 (t1 + t2)^2, expanded into
+    # beta moments, plus 4 int_0^1 t^3 dt = 1
+    def m1(d):
+        return beta_fn(0.7 + d, 1.5)
+
+    def m2(d):
+        return beta_fn(1.4 + d, 0.8)
+
+    pieces = [
+        (((0.5, -0.3), (-0.2, 0.4)), lambda t1, t2: (t1 + t2) ** 2, 1.0),
+        ((None,), lambda t: t**3, 4.0),
+    ]
+    val, info = doubling_sum(QuadConfig(base_nodes=8), pieces)
+    want = m1(2) * m2(0) + 2.0 * m1(1) * m2(1) + m1(0) * m2(2) + 1.0
+    np.testing.assert_allclose(val, want, rtol=1e-14)
+    assert info.nodes == 16
+
+
+# three axes of different sizes, so every slab split shows
+AXES = [jacobi_rule_01(7, 0.3, -0.4), legendre_rule_01(5), jacobi_rule_01(6, -0.5, 0.2)]
+FACTORS = [np.exp, np.cos, lambda t: 1.0 / (1.0 + t)]
+
+
+def _axis_sums(k, factors):
+    return [w @ fj(t) for (t, w), fj in zip(AXES[:k], factors)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_grid_sum_of_a_separable_integrand_is_the_product_of_axis_sums(k, monkeypatch):
+    # two rows of the first axis per slab: slabs of 2, 2, 2 and 1 rows
+    monkeypatch.setattr(quadrature, "CHUNK_ENTRIES", 2 * math.prod(len(t) for t, _ in AXES[1:k]) + 1)
+    rows = []
+
+    def g(*xs):
+        rows.append(xs[0].shape[0])
+        return math.prod(fj(x) for fj, x in zip(FACTORS, xs))
+
+    nodes, weights = zip(*AXES[:k])
+    got = grid_sum(g, nodes, weights)
+    np.testing.assert_allclose(got, math.prod(_axis_sums(k, FACTORS)), rtol=1e-14)
+    assert rows == [2, 2, 2, 1]
+
+
+def test_grid_sum_broadcasts_an_integrand_that_ignores_an_axis_or_returns_a_scalar(monkeypatch):
+    monkeypatch.setattr(quadrature, "CHUNK_ENTRIES", 64)
+    nodes, weights = zip(*AXES)
+    sums = _axis_sums(3, FACTORS)
+    # g ignores the middle axis and returns shape (rows, 1, n3)
+    got = grid_sum(lambda a, b, c: np.exp(a) / (1.0 + c), nodes, weights)
+    np.testing.assert_allclose(got, sums[0] * weights[1].sum() * sums[2], rtol=1e-14)
+    got = grid_sum(lambda a, b, c: 2.5, nodes, weights)
+    np.testing.assert_allclose(got, 2.5 * math.prod(w.sum() for w in weights), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lambda a, b: np.exp(-a.ravel()),  # ndim 1 on a k = 2 grid
+        lambda a, b: np.exp(-a - b).T,  # the slab transposed
+        lambda a, b: np.exp(-a - b)[..., None],  # one axis too many
+    ],
+)
+def test_grid_sum_refuses_an_output_it_cannot_place_on_the_grid(g):
+    nodes, weights = zip(*AXES[:2])
+    with pytest.raises(DomainError, match=r"returned shape .* on a slab of shape \(7, 5\)"):
+        grid_sum(g, nodes, weights)

@@ -941,6 +941,22 @@ def test_multivar_slabs_match_one_slab(kind, k, f, monkeypatch):
     np.testing.assert_allclose(val, expect, rtol=1e-13)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_multivar_refuses_a_joint_output_off_the_grid(k):
+    # f(a) flattened cannot be placed on the k-axis grid: refused at the
+    # first slab of the first estimate, not spread along another axis
+    calls = []
+
+    def f(*vs):
+        calls.append(1)
+        return np.exp(-vs[0].ravel())
+
+    u, zeta, alpha = (1.0, 2.0, 0.7)[:k], (1.0, 0.3, 0.8)[:k], (0.5, 1.5, 1.1)[:k]
+    with pytest.raises(DomainError, match="returned shape"):
+        multivar_op("first", f, u, zeta=zeta, alpha=alpha)
+    assert len(calls) == 1
+
+
 def test_multivar_nonsmooth_joint_integrand():
     # a genuinely non-separable integrand, checked against a dblquad oracle
     u, zeta, alpha = (1.0, 1.0), (1.0, 0.6), (0.5, 0.8)
@@ -1003,3 +1019,38 @@ def test_mixed_derivative_refuses_a_factor_list_of_the_wrong_length():
     factors = [exp_decay(1.0), power(1.5), exp_decay(2.0)]
     with pytest.raises(DomainError, match="one factor per variable"):
         multivar_frac_derivative(factors, (1.0, 0.8), alpha=(0.5, 0.7))
+
+
+def _infos(info):
+    return info if isinstance(info, list) else [info]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda **kw: kober_first(power(2.0), 1.0, zeta=1.0, alpha=0.5, **kw),
+        lambda **kw: kober_second(exp_decay(1.0), 1.0, zeta=1.5, alpha=0.5, **kw),
+        lambda **kw: riemann_liouville(exp_decay(1.5), 0.4, alpha=0.7, **kw),
+        lambda **kw: riemann_liouville(exp_decay(1.5), 0.0, alpha=0.7, **kw),  # exact zero
+        lambda **kw: weyl_right(power(-3.0), 0.4, alpha=0.7, **kw),
+        lambda **kw: weyl_right(exp_decay(1.0), 0.0, alpha=0.7, **kw),
+        lambda **kw: weyl_left(exp_growth(0.5), -1.0, alpha=0.8, **kw),
+        lambda **kw: saigo_first(power(1.5), 0.9, zeta=1.2, alpha=0.8, beta=-0.5, gamma=0.5, **kw),
+        lambda **kw: mellin_numeric_1d(exp_decay(1.0), 1.5, **kw),
+        lambda **kw: multivar_op(
+            "first", lambda a, b: np.exp(-a - b), (1.0, 2.0), zeta=(1.0, 0.3), alpha=(0.5, 1.5), **kw
+        ),
+        lambda **kw: multivar_op(
+            "second", lambda a, b: np.exp(-a - b), (1.0, 2.0), zeta=(1.0, 1.3), alpha=(0.5, 1.5), **kw
+        ),
+        lambda **kw: multivar_op(
+            "first", [power(1.0), exp_decay(1.0)], (1.0, 2.0), zeta=(1.0, 0.3), alpha=(0.5, 1.5), **kw
+        ),
+    ],
+)
+def test_quadrature_operators_return_python_floats(op):
+    # one result type: a Python float, never a numpy scalar, for the value
+    # and for every QuadInfo.last_delta
+    val, info = op(full_output=True)
+    assert type(val) is float and type(op()) is float
+    assert all(type(i.last_delta) is float for i in _infos(info))
