@@ -292,7 +292,7 @@ def _scalar_eval_rows(cfg):
     rows = []
     for pt in _points(cfg, point):
         if name == "frac_derivative":  # a difference stencil, with no error estimate
-            rows.append((pt, float(fn(f, pt, **kw)), None))
+            rows.append((pt, fn(f, pt, **kw), None))
         else:
             val, info = fn(f, pt, **kw, full_output=True)
             rows.append((pt, val, info.last_delta))

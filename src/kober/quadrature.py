@@ -57,9 +57,39 @@ def scipy_special(name):
     return call
 
 
-# scipy's root finders, loaded at the first rule build
+# rules of up to this many nodes come from _gauss_jacobi, larger ones from
+# scipy, whose O(n^2) root finder overtakes the dense O(n^3) eigensolver
+# above it (256 nodes: 5.0 against 3.6 ms; 1024: 169 against 54 ms)
+DENSE_NODES = 128
+
+# scipy's root finders, loaded at the first rule build above DENSE_NODES
 _roots_jacobi = scipy_special("roots_jacobi")
 _roots_legendre = scipy_special("roots_legendre")
+
+
+def _gauss_jacobi(n, a, b):
+    """The n-node Gauss rule for int_-1^1 (1-x)^a (1+x)^b f(x) dx by Golub and
+    Welsch (1969): the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the monic three-term recurrence, and the weights, proportional
+    to 1 / ((1 - x_i^2) prod_(j != i) (x_i - x_j)^2), are summed in logs and
+    scaled to the mass 2^(a+b+1) B(a+1, b+1)."""
+    # a + 1 and b + 1 are exact for exponents near -1, so every sum below
+    # adds terms of one sign and keeps its relative accuracy there
+    a1, b1 = a + 1.0, b + 1.0
+    c = a1 + b1  # a + b + 2
+    k = np.arange(1.0, n)
+    s = 2.0 * (k - 1.0) + c  # 2k + a + b
+    diag = np.append((b - a) / c, (b - a) * (b + a) / (s * (s + 2.0)))
+    sub = 4.0 * k * (k - 1.0 + a1) * (k - 1.0 + b1) / (s * s * (s + 1.0))
+    # times (k + a + b) / (s - 1), which is 1 at k = 1, 0 / 0 when a + b = -1
+    sub[1:] *= (k[1:] - 2.0 + c) / (s[1:] - 1.0)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(sub), 1), UPLO="U")
+    gaps = np.abs(x[:, None] - x)
+    np.fill_diagonal(gaps, 1.0)
+    log_w = -np.log1p(-x) - np.log1p(x) - 2.0 * np.log(gaps).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    log_mass = (c - 1.0) * math.log(2.0) + math.lgamma(a1) + math.lgamma(b1) - math.lgamma(c)
+    return x, w * (math.exp(log_mass) / w.sum())
 
 
 @lru_cache(maxsize=512)
@@ -67,14 +97,14 @@ def jacobi_rule_01(n, a, b):
     """Nodes and weights for int_0^1 (1-t)^a t^b f(t) dt; exponents > -1."""
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Jacobi weight exponents must exceed -1, got ({a}, {b})")
-    x, w = _roots_jacobi(n, a, b)
+    x, w = (_gauss_jacobi if n <= DENSE_NODES else _roots_jacobi)(n, a, b)
     return _frozen(0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0))
 
 
 @lru_cache(maxsize=64)
 def legendre_rule_01(n):
     """Nodes and weights for int_0^1 f(t) dt."""
-    x, w = _roots_legendre(n)
+    x, w = _gauss_jacobi(n, 0.0, 0.0) if n <= DENSE_NODES else _roots_legendre(n)
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 

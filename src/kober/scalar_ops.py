@@ -45,7 +45,9 @@ from .quadrature import (
     scipy_special,
 )
 
-# scipy's ufuncs, not math.gamma: the output bits stay those of scipy
+# for the 2F1 and frac_derivative's closed forms.  The operators divide by
+# math.gamma(alpha): past alpha = 171.6 it raises OverflowError, and so
+# RatioOverflow, where scipy's inf would make the value a silent 0.0
 _gamma = scipy_special("gamma")
 _rgamma = scipy_special("rgamma")
 _digamma = scipy_special("digamma")
@@ -381,7 +383,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
 
         # span = x when lo = 0
         scale = x ** (lead - zeta - alpha) * span**alpha if lo else span ** (lead + order)
-        return doubling_sum(q, [(((alpha - 1.0, b),), g, scale / _gamma(alpha))])
+        return doubling_sum(q, [(((alpha - 1.0, b),), g, scale / math.gamma(alpha))])
 
     near, far = x - hi, x - lo
     log_ratio = math.log1p((hi - lo) / near)
@@ -397,7 +399,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
         return vals
 
     scale = x ** (lead - zeta - alpha) * log_ratio
-    return doubling_sum(q, [(((b, 0.0),), g, scale / _gamma(alpha))])
+    return doubling_sum(q, [(((b, 0.0),), g, scale / math.gamma(alpha))])
 
 
 @quad_operator
@@ -545,7 +547,7 @@ def weyl_right(f, x, *, alpha, q):
         val, info = _half_line(g, alpha, q)
     except DomainError as exc:  # only at x = 0, from f's own zero order
         raise TailDivergence(f"weyl_right: {exc}") from None
-    return scale**alpha * val / _gamma(alpha), info
+    return scale**alpha * val / math.gamma(alpha), info
 
 
 @quad_operator
@@ -561,7 +563,7 @@ def weyl_left(f, x, *, alpha, q):
     if f.left_tail is None:
         raise TailDivergence("weyl_left needs a declared left tail")
     val, info = _half_line(callback(lambda w: f(x - w), tail=f.left_tail), alpha, q)
-    return val / _gamma(alpha), info
+    return val / math.gamma(alpha), info
 
 
 @quad_operator
@@ -624,7 +626,7 @@ def _central_derivative(g, x, m, q):
 def frac_derivative(f, x, *, alpha, q=None):
     """Fractional derivative of order alpha > 0 at x > 0: the m-th ordinary
     derivative of the (m - alpha)-order Riemann-Liouville integral, with
-    m = floor(alpha) + 1."""
+    m = floor(alpha) + 1, as a Python float."""
     f = as_test_function(f)
     q = q or QuadConfig()
     _check_order(alpha)
@@ -634,7 +636,8 @@ def frac_derivative(f, x, *, alpha, q=None):
     if f.fn is None and f.rate == 0:
         if f.lam <= -1.0:
             raise DomainError("power exponent must exceed -1 for the derivative")
-        return f.coeff * _gamma(f.lam + 1.0) * _rgamma(f.lam + 1.0 - alpha) * x ** (f.lam - alpha)
+        val = f.coeff * _gamma(f.lam + 1.0) * _rgamma(f.lam + 1.0 - alpha) * x ** (f.lam - alpha)
+        return float(val)
 
     if f.fn is None and f.lam == 0 and f.rate > 0:
         # split off the initial values so the remaining integral is smooth:
@@ -644,7 +647,7 @@ def frac_derivative(f, x, *, alpha, q=None):
         out = riemann_liouville(deriv_m, x, alpha=m - alpha, q=q)
         for i in range(m):
             out += f.coeff * (-f.rate) ** i * x ** (i - alpha) * _rgamma(i + 1.0 - alpha)
-        return out
+        return float(out)
 
     if f.fn is not None and (f.smooth_order is None or f.smooth_order < m):
         raise NonDifferentiable(
@@ -717,7 +720,7 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
                 else f"zeta[{j}] must be positive for a joint second-kind integrand"
             )
     rules = tuple((a - 1.0, z) for a, z in zip(alpha, zeta))
-    c = 1.0 / math.prod(_gamma(a) for a in alpha)
+    c = 1.0 / math.prod(math.gamma(a) for a in alpha)
     return doubling_sum(q, [(rules, lambda *ts: f(*(x * t for x, t in zip(u, ts))), c)])
 
 

@@ -1,12 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
+from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 
 from kober import quadrature
 from kober.errors import DomainError, QuadratureNotConverged, RatioOverflow
 from kober.quadrature import (
+    DENSE_NODES,
     QuadConfig,
     converge_doubling,
     doubling_sum,
@@ -31,6 +34,46 @@ def test_jacobi_rule_exact_on_polynomials(deg):
     # n-point Gauss rule is exact through degree 2n - 1
     exact = beta_fn(b + 1.0 + deg, a + 1.0)
     np.testing.assert_allclose(w @ t**deg, exact, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("a,b", [(-0.9, 0.5), (-0.5, -0.95), (0.3, -0.4), (169.0, -0.5), (-0.99, 3.0)])
+def test_jacobi_rule_against_the_confluent_closed_form(n, a, b):
+    # int_0^1 (1-t)^a t^b e^(-1.3 t) dt = B(b+1, a+1) 1F1(b+1; a+b+2; -1.3); at
+    # (-0.5, -0.95) and 128 nodes scipy's roots_jacobi is 1.0e-10 off
+    t, w = jacobi_rule_01(n, a, b)
+    with mp.workdps(30):
+        want = float(mp.beta(b + 1, a + 1) * mp.hyp1f1(b + 1, a + b + 2, -1.3))
+    assert abs(w @ np.exp(-1.3 * t) / want - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [DENSE_NODES, DENSE_NODES + 1])
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (-0.5, 0.4), (-0.9, 2.0), (169.0, -0.5)])
+def test_rules_on_either_side_of_dense_nodes_are_gauss_rules(n, a, b):
+    # with p_k the orthonormal Jacobi polynomials, the rule integrates p_j p_k
+    # exactly through degree j + k = 2n - 1, and p_n^2 to 0, not 1, because
+    # its nodes are the roots of p_n
+    t, w = legendre_rule_01(n) if a == b == 0.0 else jacobi_rule_01(n, a, b)
+    k = np.arange(n + 1)
+    log_norm = (
+        (a + b + 1.0) * math.log(2.0) - np.log(2 * k + a + b + 1.0)
+        + gammaln(k + a + 1.0) + gammaln(k + b + 1.0) - gammaln(k + a + b + 1.0) - gammaln(k + 1.0)
+    )
+    p = eval_jacobi(k[:, None], a, b, 2.0 * t - 1.0) * np.exp(-0.5 * log_norm)[:, None]
+    gram = (p * (w * 2.0 ** (a + b + 1.0))) @ p.T
+    np.testing.assert_allclose(gram[:n, :n], np.eye(n), atol=1e-10)
+    assert abs(gram[n, n - 1]) < 1e-13
+    assert abs(gram[n, n]) < 1e-13
+
+
+def test_rules_above_dense_nodes_are_scipys_bit_for_bit():
+    n, a, b = 2 * DENSE_NODES, -0.3, 0.7
+    x, w = roots_jacobi(n, a, b)
+    t, v = jacobi_rule_01(n, a, b)
+    assert np.array_equal(t, 0.5 * (x + 1.0)) and np.array_equal(v, w * 0.5 ** (a + b + 1.0))
+    x, w = roots_legendre(n)
+    t, v = legendre_rule_01(n)
+    assert np.array_equal(t, 0.5 * (x + 1.0)) and np.array_equal(v, 0.5 * w)
 
 
 def test_jacobi_rule_is_cached():

@@ -320,6 +320,26 @@ def test_first_kind_beyond_the_float_range_raises_a_kober_error():
         kober_first(power(3.0), 1e300, zeta=1.0, alpha=0.5)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: riemann_liouville(exp_decay(1.0), 50.0, alpha=175.0),
+        lambda: kober_first(exp_decay(1.0), 1.0, zeta=0.5, alpha=175.0),
+        lambda: kober_second(exp_decay(1.0), 1.0, zeta=1.5, alpha=175.0),
+        lambda: weyl_right(exp_decay(1.0), 1.0, alpha=175.0),
+        lambda: multivar_op(
+            "first", lambda a, b: np.exp(-a - b), (1.0, 2.0), zeta=(1.0, 0.3), alpha=(175.0, 1.5)
+        ),
+    ],
+)
+def test_an_order_past_the_gamma_range_raises_instead_of_a_silent_zero(op):
+    # Gamma(175) exceeds the double range.  The values are finite and
+    # positive (the RL one is 4.9986e-43), but 1 / Gamma(alpha) taken as
+    # 1 / inf made them 0.0
+    with pytest.raises(RatioOverflow), np.errstate(over="ignore", invalid="ignore"):
+        op()
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Liouville and Weyl
 
@@ -1054,3 +1074,18 @@ def test_quadrature_operators_return_python_floats(op):
     val, info = op(full_output=True)
     assert type(val) is float and type(op()) is float
     assert all(type(i.last_delta) is float for i in _infos(info))
+
+
+@pytest.mark.parametrize(
+    "derivative",
+    [
+        lambda: frac_derivative(power(1.5), 0.9, alpha=0.6),  # closed form
+        lambda: frac_derivative(exp_decay(1.0), 0.9, alpha=0.6),  # Riemann-Liouville path
+        lambda: multivar_frac_derivative(power(1.5), (0.9,), alpha=(0.6,)),
+        lambda: multivar_frac_derivative([power(1.5), exp_decay(1.0)], (0.9, 1.2), alpha=(0.6, 0.4)),
+        lambda: multivar_frac_derivative(lambda a, b: np.exp(-a - b), (0.9, 1.2), alpha=(0.6, 0.4)),
+    ],
+)
+def test_fractional_derivatives_return_python_floats(derivative):
+    # the same result type as the quadrature-backed operators, on every path
+    assert type(derivative()) is float
