@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar_ops, smallmat
-from .errors import DomainError, ProposalDomainError, RatioOverflow, TailDivergence
+from .errors import DomainError, ProposalDomainError, QuadratureNotConverged, RatioOverflow
 from .matgamma import GammaRatioSpec, gamma_ratio
 from .matrix_ops import (
     MCConfig,
@@ -33,16 +33,26 @@ from .matrix_ops import (
     _per_slot,
     density_constant,
 )
-from .quadrature import grid_sum, jacobi_rule_01, legendre_rule_01, quad_operator
+from .quadrature import (
+    QuadConfig,
+    converge_doubling,
+    grid_sum,
+    jacobi_rule_01,
+    legendre_rule_01,
+    quad_operator,
+)
 from .randmat import wishart_factor
 
-# tensor quadrature drops a node whose coefficient times its tail bound is
-# below this share of its axis total
-PRUNE_REL = 1e-17
 # verify_transform passes a p = 1 quadrature point within this relative
 # error, a p >= 2 Monte Carlo point within 3 s.e. and this relative cap
 QUAD_TOL = 1e-6
 MC_REL_CAP = 0.02
+# the p = 1 tensor transform's doubling.  A slot has about 2 n^2 nodes and a
+# k = 2 callback's joint grid about 4 n^4 values, so it starts at 32 nodes.
+# The second kind converges only like n^(-2 (s + zeta)), from the u^zeta
+# term of its output at u -> 0: at (zeta, alpha, s) = (1.5, 0.7, 0.6) a
+# tenfold smaller rel_tol would need a 256-node rule, and scipy to build it
+TENSOR_Q = QuadConfig(base_nodes=32, rel_tol=QUAD_TOL / 100)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +81,8 @@ class TransformReport:
     """Outcome of one transform identity check at one s point.
 
     status is "pass", "fail" or "domain-error"; se carries the Monte Carlo
-    standard error or the quadrature doubling delta, whichever applies.
+    standard error or the last doubling delta of the p = 1 quadrature
+    (QuadInfo.last_delta), whichever applies.
     """
 
     s: tuple
@@ -121,74 +132,25 @@ def mellin_numeric_1d(f, s, *, q):
 
 
 # ---------------------------------------------------------------------------
-# p = 1 operator output curves with declared behaviour
-
-
-def operator_curve_1d(kind, zeta, alpha, f, q=None):
-    """The p = 1 operator output as a new function with declared behaviour.
-
-    Wraps pointwise quadrature of the first or second kind operator applied
-    to f; the zero order and tail of the output follow from those of f, so
-    the result can be fed back into mellin_numeric_1d.
-    """
-    f = scalar_ops.as_test_function(f)
-    if f.tail is None:
-        raise TailDivergence("the operator curve needs an input with a declared tail")
-    order, _ = f.split_power()
-
-    if kind == "second":
-        out_zero = order
-        if f.tail[0] == "exp":
-            out_tail = ("exp", f.tail[1])
-        elif f.tail[0] == "power":
-            out_tail = ("power", f.tail[1])
-        else:
-            out_tail = ("compact", 0.0, f.tail[2])
-            if f.tail[1] > 0.0:
-                # input mass sits away from zero, so the t^(zeta-1) kernel
-                # weight alone sets the output's vanishing rate
-                out_zero = zeta
-        if zeta <= order:
-            raise DomainError(
-                f"second-kind output is unbounded at zero: zeta = {zeta} <= "
-                f"zero order {order} of the input"
-            )
-        op = scalar_ops.kober_second
-    elif kind == "first":
-        # the output decays like u^-(zeta+1) once the input has moments of
-        # order zeta; slower-decaying inputs cap the decay at their own rate
-        out_zero = order
-        d = zeta + 1.0
-        if f.tail[0] == "power":
-            d = min(d, f.tail[1])
-        out_tail = ("power", d)
-        op = scalar_ops.kober_first
-    else:
-        raise DomainError(f"kind must be 'first' or 'second', got {kind!r}")
-
-    def fn(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.array([op(f, ui, zeta=zeta, alpha=alpha, q=q) for ui in u])
-
-    return scalar_ops.callback(fn, zero_order=out_zero, tail=out_tail)
-
-
-# ---------------------------------------------------------------------------
 # p = 1 tensor quadrature of the transform: one sum per slot for a law, the
 # joint grid for a callback
 
 
-def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
-    """Flat nodes x and coefficients c with M-slot contribution sum c * fhat(x).
+def _slot_nodes(kind, zeta, alpha, s, axis):
+    """n -> (x, c), one slot's flat nodes and coefficients: sum c f(x) is the
+    n-node estimate of the slot's transform of the operator output.
 
-    fhat is the slot function divided by its declared zero-order power; the
-    coefficients fold together the outer Mellin rule over u, the inner
-    operator rule, and the gamma normalisation.  Second kind: x = u / t with
-    the outer integral split into a Jacobi head on (0, 1) and geometric
-    Gauss-Legendre segments out to the decay horizon.  First kind: x = u * t
-    on a head and a mid range, then a far range u > S where the inner
-    integral is taken over w = u t directly, on a fixed grid below the decay
-    horizon, so the input's scale stays resolved while u grows without bound.
+    The inner operator rule over t in (0, 1) takes f at x = u / t with the
+    weight (1-t)^(alpha-1) t^(zeta-1) and t^(-lam) (second kind), or at
+    x = u t with (1-t)^(alpha-1) t^(zeta+lam) (first kind), lam being the
+    slot's declared zero order.  The outer integral of u^(s-1+lam) over u has
+    a Jacobi head on (0, 1).  The second kind's tail is u = 1/tau with
+    Gauss-Legendre in tau.  The first kind's middle is u = S^tau on (1, S),
+    S = max(100 / rate, 2), up to which the inner t-rule still resolves the
+    decay scale 1 / (rate u) of f(u t); its far range u > S takes the inner
+    integral over w = u t directly, on (0, cap) with cap = 50 / rate, below
+    which the exponential tail keeps all of f's mass.  Every rule has n
+    nodes, and c folds in 1/Gamma(alpha) and x^(-lam).
     """
     lam = axis.zero_order
     if axis.tail is None or axis.tail[0] != "exp":
@@ -196,78 +158,48 @@ def _axis_product_nodes(kind, zeta, alpha, s, axis, n_outer, n_inner):
     rate = axis.tail[1]
     if s + lam <= 0.0:
         raise DomainError(f"transform diverges at zero: s + zero order = {s + lam} <= 0")
+    if kind == "second" and zeta < 1.0 + lam:
+        raise DomainError(
+            "the tensor transform path needs zeta >= 1 + the slot zero "
+            f"order for uniform accuracy, got zeta = {zeta}, order = {lam}"
+        )
+    if kind == "first" and zeta + lam <= -1.0:
+        raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
     try:
         gamma_a = math.gamma(alpha)
     except OverflowError:
         raise RatioOverflow(f"Gamma({alpha}) exceeds the floating range") from None
+    big = max(100.0 / rate, 2.0)
+    cap = 50.0 / rate
 
-    if kind == "second":
-        if zeta < 1.0 + lam:
-            raise DomainError(
-                "the tensor transform path needs zeta >= 1 + the slot zero "
-                f"order for uniform accuracy, got zeta = {zeta}, order = {lam}"
-            )
-        t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta - 1.0)
-        # the inner residual carries t^-lam so that dividing f by x^lam at
-        # the ratio node keeps the absorbed powers consistent
-        c_in = w_in * t_in ** (-lam) / gamma_a
-        ratio = 1.0 / t_in
-        # segment contributions fall off like exp(-rate u); beyond this
-        # horizon they are orders of magnitude below the quadrature target
-        horizon = 60.0
-        n_seg = max(1, math.ceil(math.log2(max(horizon / rate, 2.0))))
-    else:
-        d = zeta + 1.0
-        if zeta + lam <= -1.0:
-            raise DomainError(f"first kind needs zeta + zero order > -1, got {zeta + lam}")
-        t_in, w_in = jacobi_rule_01(n_inner, alpha - 1.0, zeta + lam)
-        c_in = w_in / gamma_a
-        ratio = t_in
-        # the segments end at S = 2^n_seg, up to which the inner t-rule
-        # still resolves the decay scale 1/(rate u) of f(u t)
-        cap = 50.0 / rate
-        n_seg = max(0, math.ceil(math.log2(max(2.0 * cap, 1.0))))
+    def nodes(n):
+        u, w_u = jacobi_rule_01(n, 0.0, s - 1.0 + lam)
+        tau, w_tau = legendre_rule_01(n)
+        if kind == "second":
+            t, w_t = jacobi_rule_01(n, alpha - 1.0, zeta - 1.0)
+            u = np.append(u, 1.0 / tau)
+            w_u = np.append(w_u, w_tau * tau ** (-s - 1.0 - lam))
+            x = np.outer(u, 1.0 / t).ravel()
+            c = np.outer(w_u, w_t * t ** (-lam)).ravel()
+        else:
+            t, w_t = jacobi_rule_01(n, alpha - 1.0, zeta + lam)
+            mid = big**tau
+            u = np.append(u, mid)
+            w_u = np.append(w_u, math.log(big) * w_tau * mid ** (s + lam))
+            # far range u = S/tau: there the output is u^(-zeta-1)/Gamma(alpha)
+            # times int_0^cap (1-w/u)^(alpha-1) w^(zeta+lam) fhat(w) dw, the
+            # kernel u^(-zeta-alpha) (u-w)^(alpha-1) regrouped to stay finite
+            # at large alpha, and u^(s-1) du u^(-zeta-1) is S^(s-zeta-1)
+            # tau^(zeta-s) dtau.  f's mass past the cap is below e^-50
+            rho, w_rho = jacobi_rule_01(n, 0.0, zeta + lam)
+            tau_far, w_far = jacobi_rule_01(n, 0.0, zeta - s)
+            kern = (1.0 - (cap / big) * tau_far[:, None] * rho[None, :]) ** (alpha - 1.0)
+            w_w = big ** (s - zeta - 1.0) * cap ** (zeta + lam + 1.0) * w_rho
+            x = np.append(np.outer(u, t), cap * rho)
+            c = np.append(np.outer(w_u, w_t), (w_far[:, None] * kern).sum(axis=0) * w_w)
+        return x, c * x ** (-lam) / gamma_a
 
-    # head: u in (0, 1), x = u t or u / t stays within the resolved scale of f
-    u_h, w_h = jacobi_rule_01(n_outer, 0.0, s - 1.0 + lam)
-    xs = [np.outer(u_h, ratio)]
-    cs = [np.outer(w_h, c_in)]
-    # octave segments of Gauss-Legendre from u = 1
-    t_gl, w_gl = legendre_rule_01(max(16, (2 * n_outer) // 3))
-    lo = 1.0
-    for _ in range(n_seg):
-        hi = 2.0 * lo
-        u = lo + (hi - lo) * t_gl
-        w_u = (hi - lo) * w_gl * u ** (s - 1.0 + lam)
-        xs.append(np.outer(u, ratio))
-        cs.append(np.outer(w_u, c_in))
-        lo = hi
-
-    if kind == "first":
-        # far range: u = S/tau > S >= 2 cap, inner integral over w = u t on a
-        # fixed grid (0, cap); beyond the cap the integrand is below the
-        # floating underflow of the exponential tail
-        S = 2.0**n_seg
-        w_nodes, w_w = jacobi_rule_01(n_inner, 0.0, zeta + lam)
-        w_far = cap * w_nodes
-        tau, w_tau = jacobi_rule_01(n_outer, 0.0, d - s - 1.0)
-        u_far = S / tau
-        # M contribution: S^s sum_i w_tau_i tau_i^-d g(u_i) with
-        # g(u) = u^(-zeta-1)/Gamma(a) int_0^cap (1-w/u)^(a-1) w^(zeta+lam) fhat(w) dw
-        # (the kernel u^(-zeta-a) (u-w)^(a-1) regrouped to stay finite at large a)
-        pref = S**s * w_tau * tau ** (-d) * u_far ** (-zeta - 1.0)
-        kern = (1.0 - w_far[None, :] / u_far[:, None]) ** (alpha - 1.0)
-        c_far = (
-            cap ** (zeta + lam + 1.0)
-            / gamma_a
-            * (pref[:, None] * kern * w_w[None, :]).sum(axis=0)
-        )
-        xs.append(w_far)
-        cs.append(c_far)
-
-    x = np.concatenate([a.ravel() for a in xs])
-    c = np.concatenate([a.ravel() for a in cs])
-    return x, c
+    return nodes
 
 
 def _joint_values(f, *xs):
@@ -286,61 +218,25 @@ def _joint_values(f, *xs):
     return vals
 
 
-def _tensor_transform_p1(kind, params, f, pt, n_outer, n_inner, axes=None):
-    """M-transform of the operator output by tensor quadrature, p = 1, k <= 2.
+def mtransform_quadrature(params, f, s, *, axes=None):
+    """M-transform of the operator output by tensor quadrature, p = 1, k <= 2:
+    (value, QuadInfo) from converge_doubling under TENSOR_Q.
 
-    A law is a product over its slots (f.scalar_axes()), so the tensor sum
-    factors exactly into one axis sum per slot, prod_j sum_i c_ji f_j(x_ji);
-    a callback is evaluated jointly on the product grid.  Either way no
-    gamma function or closed-form transform enters, so the result is an
-    independent numerical route to the closed form.  axes overrides the
-    per-slot endpoint declarations, which joint callback functions cannot
-    carry themselves; a law's values still come from its own slot factors.
-
-    Each axis folds x^(-lam) of its zero order into the coefficients and
-    keeps only the nodes with |c| exp(-rate x) >= PRUNE_REL times the axis
-    sum of |c| exp(-rate x), rate being the declared exponential tail.  This
-    relies on the declarations (axes included): where |f| / prod x_j^lam_j
-    is at most K prod exp(-rate_j x_j), the dropped nodes of an axis carry
-    less than n_dropped * PRUNE_REL of K times the product of the axis sums.
-    For a callback at k = 2, slabs of x1 of shape (rows, 1, 1, 1)
-    (quadrature.grid_sum) are broadcast against x2 of shape
-    (1, n2, 1, 1), so f still sees every kept joint pair; f.value must
-    broadcast its slots (index them as v[..., i, j]) and return exactly the
-    shape (rows, n2), or DomainError is raised.
-    """
-    factors = None if f.fn is not None else f.scalar_axes()
-    if axes is None:
-        axes = factors
-    coeffs = []
-    grids = []
-    for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes):
-        x, c = _axis_product_nodes(kind, zeta, alpha, sj, axis, n_outer, n_inner)
-        bound = np.abs(c) * np.exp(-axis.tail[1] * x)
-        keep = bound >= PRUNE_REL * bound.sum()
-        x = x[keep]
-        grids.append(x)
-        coeffs.append(c[keep] * x ** (-axis.zero_order))
-    if factors is not None:
-        # fsum, not a BLAS dot: the bits do not depend on the thread count
-        # (tolist: fsum reads Python floats faster than numpy scalars)
-        return math.prod(
-            math.fsum((c * fj(x)).tolist()) for c, fj, x in zip(coeffs, factors, grids)
-        )
-
-    return grid_sum(lambda *xs: _joint_values(f, *xs), grids, coeffs)
-
-
-def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
-    """Numerical transform of the operator output at p = 1, with error estimate.
-
-    Returns (value, delta) where delta compares against a coarser rule.
-    Both rules drop the nodes whose coefficient times the declared tail
-    bound exp(-rate x) is below PRUNE_REL of its axis total, so the slot
-    tails declared by f's family, or by axes for callbacks, must hold.
-    At k = 2 a callback's slots reach f.value as mutually broadcastable
-    stacks of shapes (rows, 1, 1, 1) and (1, n2, 1, 1): it must index them
-    as v[..., i, j] and return shape (rows, n2), else DomainError is raised.
+    Each slot's n-node estimate sums its flat nodes (_slot_nodes).  A law is
+    a product over its slots (f.scalar_axes()), so the tensor sum factors
+    exactly into the product of the slot sums; a callback is evaluated
+    jointly on the product grid of the slots' flat nodes (quadrature.grid_sum).
+    Either way no gamma function or closed-form transform enters, so the
+    result is an independent numerical route to the closed form.  axes
+    overrides the per-slot endpoint declarations, which joint callback
+    functions cannot carry themselves; a law's values still come from its
+    own slot factors.  A zero order that f does not have is folded out again
+    exactly, so it costs nodes rather than digits: x^(1/2) declared on e^(-x)
+    leaves a singular x^(-1/2) in the sum and takes a slot past 512 nodes,
+    where a joint grid of 4 n^4 values cannot follow.  At k = 2 a callback's
+    slots reach f.value as mutually broadcastable stacks of shapes
+    (rows, 1, 1, 1) and (1, n2, 1, 1): it must index them as v[..., i, j]
+    and return shape (rows, n2), else DomainError is raised.
     """
     if params.p != 1:
         raise DomainError("the quadrature transform path needs p = 1")
@@ -349,11 +245,22 @@ def mtransform_quadrature(params, f, s, *, n_outer=48, n_inner=64, axes=None):
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     pt, _ = _transform_args(params, s)
-    val = _tensor_transform_p1(params.kind, params, f, pt, n_outer, n_inner, axes=axes)
-    coarse = _tensor_transform_p1(
-        params.kind, params, f, pt, max(24, n_outer // 2), max(32, n_inner // 2), axes=axes
-    )
-    return val, abs(val - coarse)
+    factors = None if f.fn is not None else f.scalar_axes()
+    slots = [
+        _slot_nodes(params.kind, zeta, alpha, sj, axis)
+        for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes or factors)
+    ]
+
+    def estimate(n):
+        flat = [nodes(n) for nodes in slots]
+        if factors is not None:
+            # fsum, not a BLAS dot: the bits do not depend on the thread count
+            # (tolist: fsum reads Python floats faster than numpy scalars)
+            sums = [math.fsum((c * fj(x)).tolist()) for (x, c), fj in zip(flat, factors)]
+            return math.prod(sums)
+        return grid_sum(lambda *xs: _joint_values(f, *xs), *zip(*flat))
+
+    return converge_doubling(estimate, TENSOR_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +370,16 @@ def verify_transform(kind, params, f, s_grid, mc=None):
     tensor quadrature and the tolerance is QUAD_TOL relative; at p >= 2 it
     is the density-route Monte Carlo, passing within 3 standard errors and
     the relative cap MC_REL_CAP.  Out-of-domain points are reported, not
-    raised.
+    raised, and so is a p = 1 doubling that does not settle: a "fail" with
+    no lhs and the QuadratureNotConverged message in note.
     """
     if kind != params.kind:
         raise DomainError(f"kind {kind!r} does not match params.kind {params.kind!r}")
     reports = []
     for s in s_grid:
         pt = tuple(float(v) for v in np.atleast_1d(s))  # reported as given if its length is wrong
+        lhs = se = rhs = None
+        tol, status, note = QUAD_TOL, "fail", ""
         try:
             pt = _per_slot("transform variables", pt, params.k)[0]
             _transform_args(params, pt)
@@ -480,24 +390,23 @@ def verify_transform(kind, params, f, s_grid, mc=None):
                 )
             rhs = _gamma_ratio(params, pt, kind) * fstar
             if params.p == 1:
-                lhs, se = mtransform_quadrature(params, f, pt)
-                tol = QUAD_TOL
+                lhs, info = mtransform_quadrature(params, f, pt)
+                se = info.last_delta
                 ok = abs(lhs / rhs - 1.0) < QUAD_TOL
             else:
                 est = mtransform_mc(params, f, pt, mc)
                 lhs, se, tol = est.value, est.se, MC_REL_CAP
                 ok = abs(lhs - rhs) < 3.0 * se and abs(lhs / rhs - 1.0) < MC_REL_CAP
-            reports.append(
-                TransformReport(
-                    s=pt, lhs=lhs, se=se, rhs=rhs, ratio=lhs / rhs,
-                    tol=tol, passed=ok, status="pass" if ok else "fail",
-                )
-            )
+            status = "pass" if ok else "fail"
+        except QuadratureNotConverged as exc:
+            note = f"QuadratureNotConverged: {exc}"
         except DomainError as exc:
-            reports.append(
-                TransformReport(
-                    s=pt, lhs=None, se=None, rhs=None, ratio=None,
-                    tol=QUAD_TOL, passed=False, status="domain-error", note=str(exc),
-                )
+            lhs = se = rhs = None
+            status, note = "domain-error", str(exc)
+        reports.append(
+            TransformReport(
+                s=pt, lhs=lhs, se=se, rhs=rhs, ratio=None if lhs is None else lhs / rhs,
+                tol=tol, passed=status == "pass", status=status, note=note,
             )
+        )
     return reports

@@ -354,7 +354,9 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     the one body of every integral over a bounded interval.  a != 0 only with
     zeta = 0 and lead = alpha, and then x and a may be negative, as in
     weyl_right's reflected call.  A compact support [lo, hi] of f narrows the
-    interval to [lo, min(x, hi)], lo clipped at a.  A Jacobi weight absorbs
+    interval to [lo, min(x, hi)], lo clipped at a; an exponential tail with
+    rate r ends the support at EXP_HORIZON / r, past which f underflows, so
+    that f is not 0 at every node for x far past it.  A Jacobi weight absorbs
     v^(zeta + f's zero order) only when lo = 0; for lo != 0, v^zeta and the
     kernel stay in the integrand.  For x <= hi the weight also absorbs
     (x-v)^(alpha-1).  Past hi, w = x - v = near (far/near)^t with near = x - hi
@@ -362,6 +364,8 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     near is small, into the smooth ln(far/near) w^alpha dt."""
     compact = f.tail is not None and f.tail[0] == "compact"
     lo, hi = (max(f.tail[1], a), f.tail[2]) if compact else (a, math.inf)
+    if f.tail is not None and f.tail[0] == "exp":  # f underflows past the horizon
+        hi = EXP_HORIZON / f.tail[1]
     if x <= lo or lo >= hi:
         return EXACT_ZERO
     order, res = f.split_power() if lo == 0.0 else (0.0, f)
@@ -502,8 +506,8 @@ def _half_line(f, s, q):
 
         def seg(t):
             w = lo + (hi - lo) * t
-            # f on the flat grid, as operator_curve_1d callbacks return flat
-            # arrays; the product broadcasts a callback's scalar output
+            # f on the flat grid, as a callback may return a flat array; the
+            # product broadcasts a callback's scalar output
             vals = ((hi - lo) * w ** (s - 1.0)).ravel() * np.asarray(f(w.ravel()), dtype=float)
             return vals.reshape(w.shape).sum(axis=0)
 
@@ -525,6 +529,7 @@ def weyl_right(f, x, *, alpha, q):
     x = float(x)
     if x < 0:
         raise DomainError(f"weyl_right is evaluated at x >= 0, got {x}")
+    gamma_a = math.gamma(alpha)  # RatioOverflow before f is evaluated
     scale = 1.0
     if x == 0.0:
         g = f
@@ -547,7 +552,7 @@ def weyl_right(f, x, *, alpha, q):
         val, info = _half_line(g, alpha, q)
     except DomainError as exc:  # only at x = 0, from f's own zero order
         raise TailDivergence(f"weyl_right: {exc}") from None
-    return scale**alpha * val / math.gamma(alpha), info
+    return scale**alpha * val / gamma_a, info
 
 
 @quad_operator
@@ -562,8 +567,9 @@ def weyl_left(f, x, *, alpha, q):
     x = float(x)
     if f.left_tail is None:
         raise TailDivergence("weyl_left needs a declared left tail")
+    gamma_a = math.gamma(alpha)  # RatioOverflow before f is evaluated
     val, info = _half_line(callback(lambda w: f(x - w), tail=f.left_tail), alpha, q)
-    return val / math.gamma(alpha), info
+    return val / gamma_a, info
 
 
 @quad_operator

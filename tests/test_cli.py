@@ -298,16 +298,30 @@ def test_table_order_past_the_gamma_range_exit_2(capsys, op):
 
 
 def test_table_status_marks_a_ratio_outside_the_tolerance(capsys):
-    # the (48, 64) rule misses the second-kind transform at alpha = 40 by
-    # 1.4e-6 relative, past QUAD_TOL = 1e-6
+    # at alpha = 170 the second-kind transform, about 1e-310, is subnormal,
+    # and the tensor route misses it by 1.7e-5 relative, past QUAD_TOL = 1e-6
     code, out, _ = run_cli(
         capsys, "table", "--op", "mtransform-second", "--zeta", "1.8",
-        "--alpha", "40", "--s", "1",
+        "--alpha", "170", "--s", "1",
     )
     assert code == 0
     parts = out.splitlines()[1].split(",")
     assert abs(float(parts[3]) - 1.0) > 1e-6
     assert parts[4] == "fail"
+
+
+@pytest.mark.parametrize("alpha", ["40", "80", "150"])
+def test_table_holds_the_second_kind_transform_at_large_order(capsys, alpha):
+    # the doubling takes these to 256 or 512 nodes; fixed (48, 64) rules
+    # missed alpha = 40 and 80 by 1.4e-6 and 1.1e-5
+    code, out, _ = run_cli(
+        capsys, "table", "--op", "mtransform-second", "--zeta", "1.8",
+        "--alpha", alpha, "--s", "1",
+    )
+    assert code == 0
+    parts = out.splitlines()[1].split(",")
+    assert abs(float(parts[3]) - 1.0) < 1e-9
+    assert parts[4] == "ok"
 
 
 def test_table_empty_grid_exit_2(capsys):

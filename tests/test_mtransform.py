@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kober import mtransform
 from kober.errors import DomainError, MomentDivergence, ProposalDomainError, TailDivergence
 from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
@@ -19,17 +20,17 @@ from kober.matrix_ops import (
     wishart_density,
 )
 from kober.mtransform import (
-    _axis_product_nodes,
+    _slot_nodes,
     gamma_ratio_first,
     gamma_ratio_second,
     mellin_numeric_1d,
     mtransform_mc,
     mtransform_mc_operator,
     mtransform_quadrature,
-    operator_curve_1d,
     verify_transform,
 )
-from kober.scalar_ops import callback, exp_decay, power_times_exp
+from kober.quadrature import QuadConfig, QuadInfo
+from kober.scalar_ops import callback, exp_decay, kober_first, kober_second, power_times_exp
 
 # frozen reference values
 SQRT_PI = 1.7724538509055159  # Mellin transform of e^-x at s = 1/2
@@ -214,6 +215,26 @@ SECOND_1 = MatrixOpParams("second", 1, 1, ((1.5, 0.7),))
 FIRST_1 = MatrixOpParams("first", 1, 1, ((1.5, 0.7),))
 
 
+def operator_curve_1d(kind, zeta, alpha, f):
+    """The p = 1 operator output as a callback with declared behaviour, for
+    mellin_numeric_1d, by pointwise quadrature of the operator.  The first
+    kind keeps f's zero order and decays like u^-(zeta+1).  The second kind
+    keeps f's zero order and exponential tail; on a compact support [lo, hi]
+    with lo > 0 the kernel weight t^(zeta-1) alone makes it vanish like
+    u^zeta at 0."""
+    if kind == "first":
+        op, zero, tail = kober_first, f.zero_order, ("power", zeta + 1.0)
+    elif f.tail[0] == "exp":
+        op, zero, tail = kober_second, f.zero_order, f.tail
+    else:
+        op, zero, tail = kober_second, zeta, ("compact", 0.0, f.tail[2])
+
+    def fn(u):
+        return np.array([op(f, ui, zeta=zeta, alpha=alpha) for ui in np.atleast_1d(u)])
+
+    return callback(fn, zero_order=zero, tail=tail)
+
+
 def test_second_kind_curve_route_k1():
     g = operator_curve_1d("second", 1.5, 0.7, exp_decay(1.0))
     for s in (0.6, 1.3, 2.2):
@@ -232,12 +253,13 @@ def test_tensor_route_matches_curve_route_k1():
     f = exp_neg_trace(1, 1)
     for prm in (SECOND_1, FIRST_1):
         for s in (0.8, 1.7):
-            val, delta = mtransform_quadrature(prm, f, s)
+            val, info = mtransform_quadrature(prm, f, s)
             curve = mellin_numeric_1d(
                 operator_curve_1d(prm.kind, 1.5, 0.7, exp_decay(1.0)), s
             )
             np.testing.assert_allclose(val, curve, rtol=1e-8)
-            assert delta < 1e-6 * abs(val)
+            assert isinstance(info, QuadInfo)
+            assert info.last_delta < 1e-6 * abs(val)
 
 
 def test_tensor_route_wishart_slot():
@@ -257,9 +279,9 @@ def test_tensor_route_k2_separable():
     s = (1.3, 0.8)
     for prm, ratio_fn in ((prm2, gamma_ratio_second), (prm1, gamma_ratio_first)):
         want = ratio_fn(prm, s) * math.gamma(s[0]) * math.gamma(s[1])
-        val, delta = mtransform_quadrature(prm, f, s)
+        val, info = mtransform_quadrature(prm, f, s)
         np.testing.assert_allclose(val, want, rtol=1e-8)
-        assert delta < 1e-6 * abs(val)
+        assert info.last_delta < 1e-6 * abs(val)
 
 
 def test_tensor_route_k2_joint_not_separable():
@@ -278,16 +300,17 @@ def test_tensor_route_k2_joint_not_separable():
         + math.gamma(s[0]) * math.gamma(s[1] + 1.0)
     )
     axes = [exp_decay(1.0), exp_decay(1.0)]
-    val, delta = mtransform_quadrature(prm, f, s, axes=axes)
+    val, info = mtransform_quadrature(prm, f, s, axes=axes)
     np.testing.assert_allclose(val, want, rtol=1e-8)
-    assert delta < 1e-6 * abs(val)
+    assert info.last_delta < 1e-6 * abs(val)
 
 
 @pytest.mark.parametrize("kind", ["second", "first"])
-def test_tensor_route_matches_unpruned_brute_force_sum(kind):
+def test_tensor_route_matches_a_brute_force_sum_over_the_flat_nodes(kind, monkeypatch):
     # f(v1, v2) = (v1 + v2) v1^(1/2) e^(-v1-v2) is not separable and has a
-    # nonzero zero order on slot 1; the folded, pruned and broadcast route
-    # must agree with the plain sum over every node of the same rules
+    # nonzero zero order on slot 1; the slabbed and broadcast joint grid at
+    # n = 16 must agree with the plain sum over every pair of the slots'
+    # 16-node flat sets
     def fn(v1, v2):
         x1 = v1[..., 0, 0]
         x2 = v2[..., 0, 0]
@@ -297,15 +320,17 @@ def test_tensor_route_matches_unpruned_brute_force_sum(kind):
     prm = MatrixOpParams(kind, 1, 2, ((1.6, 0.9), (2.1, 0.6)))
     s = (1.2, 0.9)
     axes = [power_times_exp(0.5, 1.0), exp_decay(1.0)]
-    val, _ = mtransform_quadrature(prm, f, s, n_outer=12, n_inner=16, axes=axes)
+    # one doubling from 8 that always accepts: the 16-node estimate
+    monkeypatch.setattr(mtransform, "TENSOR_Q", QuadConfig(8, 1, math.inf))
+    val, info = mtransform_quadrature(prm, f, s, axes=axes)
+    assert info.nodes == 16
 
     (x1, c1), (x2, c2) = (
-        _axis_product_nodes(kind, zeta, alpha, sj, axis, 12, 16)
+        _slot_nodes(kind, zeta, alpha, sj, axis)(16)
         for (zeta, alpha), sj, axis in zip(prm.pairs, s, axes)
     )
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    vals = fn(X1[..., None, None], X2[..., None, None]) / np.sqrt(X1)
-    brute = c1 @ vals @ c2
+    brute = c1 @ fn(X1[..., None, None], X2[..., None, None]) @ c2
     np.testing.assert_allclose(val, brute, rtol=1e-13)
 
 
@@ -323,35 +348,36 @@ def test_law_slot_sums_match_the_joint_grid_of_the_same_function(kind):
     axes = [power_times_exp(0.7, 1.0), power_times_exp(1.3, 1.0)]
     prm = MatrixOpParams(kind, 1, 2, ((1.9, 0.8), (2.6, 1.1)))
     s = (1.2, 0.9)
-    got, _ = mtransform_quadrature(prm, law, s, n_outer=24, n_inner=32)
-    want, _ = mtransform_quadrature(prm, joint, s, n_outer=24, n_inner=32, axes=axes)
+    got, _ = mtransform_quadrature(prm, law, s)
+    want, _ = mtransform_quadrature(prm, joint, s, axes=axes)
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("kind", ["second", "first"])
 def test_law_values_come_from_the_law_not_from_axes(kind):
     # axes only declare endpoint behaviour; a law's slot values are its own
-    # e^(-x), never the declared x^(1/2) e^(-x) or e^(-x/2)
+    # e^(-x), never the declared e^(-x/2)
     f = exp_neg_trace(1, 2)
     joint = matrix_callback(1, lambda v1, v2: np.exp(-v1[..., 0, 0] - v2[..., 0, 0]), k=2)
     prm = MatrixOpParams(kind, 1, 2, ((1.6, 0.9), (2.1, 0.6)))
     s = (1.3, 0.8)
-    # a wrong zero order costs accuracy, but both routes sum the same nodes
-    axes = [power_times_exp(0.5, 1.0), exp_decay(1.0)]
+    # both routes sum the same nodes.  A wrong zero order would cost nodes:
+    # x^(1/2) declared on e^(-x) takes the law past 512, where the joint
+    # grid cannot follow
+    axes = [exp_decay(0.5), exp_decay(1.0)]
     got, _ = mtransform_quadrature(prm, f, s, axes=axes)
     want, _ = mtransform_quadrature(prm, joint, s, axes=axes)
     np.testing.assert_allclose(got, want, rtol=1e-13)
     # a slower declared decay still bounds e^(-x), so the closed form holds
-    val, _ = mtransform_quadrature(prm, f, s, axes=[exp_decay(0.5), exp_decay(1.0)])
     ratio = gamma_ratio_second if kind == "second" else gamma_ratio_first
     want = ratio(prm, s) * math.gamma(s[0]) * math.gamma(s[1])
-    np.testing.assert_allclose(val, want, rtol=1e-8)
+    np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.5])
 def test_first_kind_far_range_holds_at_large_order(s):
     # u^(-zeta-alpha) (u - w)^(alpha-1) overflows at alpha = 100; the far
-    # range must stay finite instead of pruning every node to a silent 0
+    # range must stay finite, not a silent 0
     prm = MatrixOpParams("first", 1, 1, ((1.8, 100.0),))
     val, _ = mtransform_quadrature(prm, exp_neg_trace(1), s)
     np.testing.assert_allclose(val, gamma_ratio_first(prm, s) * math.gamma(s), rtol=1e-8)
@@ -364,7 +390,7 @@ def test_tensor_route_refuses_callback_that_drops_a_broadcast_axis():
     prm = MatrixOpParams("second", 1, 2, ((1.6, 0.9), (2.1, 0.6)))
     axes = [exp_decay(1.0), exp_decay(1.0)]
     with pytest.raises(DomainError, match=r"v\[\.\.\., i, j\]"):
-        mtransform_quadrature(prm, f, (1.2, 0.9), n_outer=12, n_inner=16, axes=axes)
+        mtransform_quadrature(prm, f, (1.2, 0.9), axes=axes)
 
 
 def test_narrow_bump_recovers_kernel_transform():
@@ -397,6 +423,17 @@ def test_verify_second_kind_quadrature_grid():
     reports = verify_transform("second", SECOND_1, f, [0.6, 0.9, 1.3, 1.8, 2.4])
     assert [r.status for r in reports] == ["pass"] * 5
     assert all(abs(r.ratio - 1.0) < 1e-6 for r in reports)
+
+
+def test_verify_reports_a_doubling_that_does_not_settle_as_a_fail(monkeypatch):
+    # no doubling allowed: the tensor route raises QuadratureNotConverged,
+    # which verify_transform reports with the closed form and no left side
+    monkeypatch.setattr(mtransform, "TENSOR_Q", QuadConfig(32, 0, 1e-8))
+    (rep,) = verify_transform("second", SECOND_1, exp_neg_trace(1, 1), [1.3])
+    assert rep.status == "fail" and not rep.passed
+    assert rep.lhs is None and rep.ratio is None
+    assert rep.rhs == pytest.approx(gamma_ratio_second(SECOND_1, 1.3) * math.gamma(1.3))
+    assert "QuadratureNotConverged" in rep.note
 
 
 def test_verify_first_kind_domain_enforced():

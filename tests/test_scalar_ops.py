@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -327,6 +328,7 @@ def test_first_kind_beyond_the_float_range_raises_a_kober_error():
         lambda: kober_first(exp_decay(1.0), 1.0, zeta=0.5, alpha=175.0),
         lambda: kober_second(exp_decay(1.0), 1.0, zeta=1.5, alpha=175.0),
         lambda: weyl_right(exp_decay(1.0), 1.0, alpha=175.0),
+        lambda: weyl_left(exp_growth(0.5), -1.0, alpha=175.0),
         lambda: multivar_op(
             "first", lambda a, b: np.exp(-a - b), (1.0, 2.0), zeta=(1.0, 0.3), alpha=(175.0, 1.5)
         ),
@@ -335,9 +337,30 @@ def test_first_kind_beyond_the_float_range_raises_a_kober_error():
 def test_an_order_past_the_gamma_range_raises_instead_of_a_silent_zero(op):
     # Gamma(175) exceeds the double range.  The values are finite and
     # positive (the RL one is 4.9986e-43), but 1 / Gamma(alpha) taken as
-    # 1 / inf made them 0.0
-    with pytest.raises(RatioOverflow), np.errstate(over="ignore", invalid="ignore"):
+    # 1 / inf made them 0.0.  The order is checked before f is evaluated,
+    # so no numpy warning reaches the caller either
+    with pytest.raises(RatioOverflow), warnings.catch_warnings():
+        warnings.simplefilter("error")
         op()
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("x", [1e5, 1e7, 1e100])
+def test_first_kind_at_large_arguments_past_the_exponential_horizon(x, a):
+    # f underflowed at every node of the (a, x) rule, and two exact zeros
+    # agreed: RL returned 0.0 from x = 1e7 on, and raised at 1e5.  Past
+    # EXP_HORIZON / rate the tail is a support, and the value is
+    # e^(-a) - e^(-x) = e^(-a)
+    got = riemann_liouville(exp_decay(1.0), x, alpha=1.0, a=a)
+    np.testing.assert_allclose(got, math.exp(-a), rtol=1e-10)
+
+
+def test_first_kind_near_its_zeta_bound_at_a_huge_argument():
+    # u^(-zeta-1) Gamma(zeta+1) / Gamma(alpha), up to terms of order 1/u;
+    # this call returned 0.0
+    want = 10.0**-0.1 * math.gamma(0.001) / math.gamma(0.3)
+    got = kober_first(exp_decay(1.0), 1e100, zeta=-0.999, alpha=0.3)
+    np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

