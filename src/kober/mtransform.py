@@ -236,7 +236,8 @@ def mtransform_quadrature(params, f, s, *, axes=None):
     where a joint grid of 4 n^4 values cannot follow.  At k = 2 a callback's
     slots reach f.value as mutually broadcastable stacks of shapes
     (rows, 1, 1, 1) and (1, n2, 1, 1): it must index them as v[..., i, j]
-    and return shape (rows, n2), else DomainError is raised.
+    and return shape (rows, n2), else DomainError is raised.  A callback
+    without axes, or axes of a length other than k, raises DomainError.
     """
     if params.p != 1:
         raise DomainError("the quadrature transform path needs p = 1")
@@ -246,9 +247,13 @@ def mtransform_quadrature(params, f, s, *, axes=None):
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     pt, _ = _transform_args(params, s)
     factors = None if f.fn is not None else f.scalar_axes()
+    declared = axes or factors
+    if declared is None or len(declared) != params.k:
+        got = "none" if axes is None else len(axes)
+        raise DomainError(f"{f.family} needs axes, one scalar law per slot: {params.k}, got {got}")
     slots = [
         _slot_nodes(params.kind, zeta, alpha, sj, axis)
-        for (zeta, alpha), sj, axis in zip(params.pairs, pt, axes or factors)
+        for (zeta, alpha), sj, axis in zip(params.pairs, pt, declared)
     ]
 
     def estimate(n):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
-from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange, SingularMatrix
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, OutOfRange, SingularMatrix
 from .matgamma import check_dim
 
 
@@ -29,10 +29,17 @@ def _as_square(a):
 
 
 def require_symmetric(a):
+    """a symmetrized, after checking that its entries are finite
+    (DomainError) and that it is symmetric within 1e-10 (1 + max |a_ij|)
+    (DimensionMismatch)."""
     a = _as_square(a)
-    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max())):
+    big = np.abs(a).max()
+    if not np.isfinite(big):
+        raise DomainError("matrix has a non-finite entry")
+    at = np.swapaxes(a, -1, -2)
+    if np.abs(a - at).max() > 1e-10 * (1.0 + big):
         raise DimensionMismatch("matrix is not symmetric")
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + at)
 
 
 def pack(a):

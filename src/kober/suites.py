@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scalar_ops
+from . import scalar_ops, smallmat
+from .errors import DomainError
 from .matrix_ops import (
+    BATCH_DRAWS,
     MatrixOpParams,
     MCConfig,
     exp_neg_trace,
@@ -216,6 +218,25 @@ def _jacobian_checks(seed, p):
 # moment formulas of the random matrix layer
 
 
+def _logdets(seed, stream_id, n, draw):
+    """log|X| of n draws from the generator of RngStream(seed, stream_id),
+    one array per stack that draw(rng, m) returns.  draw runs in passes of
+    m <= BATCH_DRAWS draws, full passes first and the remainder last, and
+    of each pass only the log-dets, read from the Cholesky factor, are kept;
+    a draw that is not positive definite raises NotPositiveDefinite."""
+    if n < 1:
+        raise DomainError(f"a moment suite needs at least one draw, got {n}")
+    rng = RngStream(seed, stream_id).generator()
+    passes = [
+        [
+            smallmat.logdet(smallmat.cholesky(smallmat.entries(x)))
+            for x in draw(rng, min(BATCH_DRAWS, n - start))
+        ]
+        for start in range(0, n, BATCH_DRAWS)
+    ]
+    return [np.concatenate(col) for col in zip(*passes)]
+
+
 @_suite("beta-moments")
 def suite_beta_moments(seed, p, n_samples):
     n = int(n_samples or 100000)
@@ -224,26 +245,26 @@ def suite_beta_moments(seed, p, n_samples):
 
     for pp in ps:
         df = 2.0 * pp + 1.5
+        (logdet,) = _logdets(seed, 10 + pp, n, lambda rng, m: [sample_wishart(pp, df, rng, m)])
         for h in (1.0, 1.7):
-            w = sample_wishart(pp, df, RngStream(seed, 10 + pp), size=n)
             cases.append(
                 _mean_case(
                     f"wishart-det-p{pp}-h{h}",
                     "wishart-determinant-moment",
                     wishart_det_moment(pp, df, h),
-                    np.exp(h * np.linalg.slogdet(w)[1]),
+                    np.exp(h * logdet),
                 )
             )
 
         prm = BetaMatParams(pp, 1.2 + 0.5 * pp, 2.0)
+        (logdet,) = _logdets(seed, 20 + pp, n, lambda rng, m: [sample_matrix_beta(prm, rng, m)])
         for h in (1.0, 2.3):
-            x = sample_matrix_beta(prm, RngStream(seed, 20 + pp), size=n)
             cases.append(
                 _mean_case(
                     f"beta-det-p{pp}-h{h}",
                     "type1-beta-determinant-moment",
                     matrix_beta_det_moment(prm, h),
-                    np.exp(h * np.linalg.slogdet(x)[1]),
+                    np.exp(h * logdet),
                 )
             )
 
@@ -273,15 +294,17 @@ def suite_dirichlet_chain(seed, p, n_samples):
     )
 
     pairs2 = [BetaMatParams(pp, 2.5, 4.0), BetaMatParams(pp, 2.0, 2.5)]
-    xs2 = sample_dirichlet_chain(pairs2, RngStream(seed, 40), size=n)
-    ys2 = dirichlet_chain_inverse(xs2)
-    for j, prm in enumerate(pairs2):
+    logdets = _logdets(
+        seed, 40, n,
+        lambda rng, m: dirichlet_chain_inverse(sample_dirichlet_chain(pairs2, rng, m)),
+    )
+    for j, (prm, logdet) in enumerate(zip(pairs2, logdets)):
         cases.append(
             _mean_case(
                 f"chain-recovered-beta-p{pp}-slot{j}",
                 "chain-component-beta-law",
                 matrix_beta_det_moment(prm, 1.0),
-                np.exp(np.linalg.slogdet(ys2[j])[1]),
+                np.exp(logdet),
             )
         )
 

@@ -393,6 +393,16 @@ def test_tensor_route_refuses_callback_that_drops_a_broadcast_axis():
         mtransform_quadrature(prm, f, (1.2, 0.9), axes=axes)
 
 
+@pytest.mark.parametrize("axes", [None, [exp_decay(1.0)] * 2])
+def test_tensor_route_refuses_callback_without_one_axis_per_slot(axes):
+    # a callback carries no endpoint behaviour of its own: its slots come
+    # only from axes, one per slot
+    f = matrix_callback(1, lambda v: np.exp(-v[..., 0, 0]), k=1)
+    prm = MatrixOpParams("second", 1, 1, ((1.5, 0.7),))
+    with pytest.raises(DomainError, match="needs axes"):
+        mtransform_quadrature(prm, f, 1.2, axes=axes)
+
+
 def test_narrow_bump_recovers_kernel_transform():
     # a unit-mass bump at 1 turns the operator output into the kernel's own
     # transform, up to the bump width

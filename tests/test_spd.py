@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kober.errors import NotPositiveDefinite, OutOfRange
+from kober.errors import DimensionMismatch, DomainError, NotPositiveDefinite, OutOfRange
 from kober.spd import (
     dirichlet_chain_forward,
     dirichlet_chain_inverse,
@@ -14,6 +16,7 @@ from kober.spd import (
     loewner_lt,
     pack,
     require_spd,
+    require_symmetric,
     spd_check,
     sym_inv_sqrt,
     sym_sqrt,
@@ -56,6 +59,29 @@ def test_spd_check_reports_min_eigenvalue():
 def test_require_spd_raises():
     with pytest.raises(NotPositiveDefinite):
         require_spd(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_require_spd_refuses_a_non_finite_entry_without_a_warning(bad):
+    a = np.tile(np.eye(2), (3, 1, 1))
+    a[1, 0, 1] = a[1, 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            require_spd(a)
+
+
+def test_symmetry_tolerance_is_relative_to_the_largest_entry():
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    tol = 1e-10 * (1.0 + 4.0)
+    for off, ok in ((0.9 * tol, True), (1.1 * tol, False)):
+        b = a.copy()
+        b[0, 1] += off
+        if ok:
+            np.testing.assert_allclose(require_symmetric(b), 0.5 * (b + b.T), rtol=0, atol=0)
+        else:
+            with pytest.raises(DimensionMismatch, match="not symmetric"):
+                require_symmetric(b)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

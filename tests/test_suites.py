@@ -1,7 +1,23 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from kober.randmat import DEFAULT_SEED
+from kober import suites
+from kober.errors import DomainError
+from kober.matrix_ops import BATCH_DRAWS
+from kober.randmat import (
+    DEFAULT_SEED,
+    BetaMatParams,
+    RngStream,
+    sample_dirichlet_chain,
+    sample_matrix_beta,
+    sample_wishart,
+)
+from kober.spd import dirichlet_chain_inverse
 from kober.suites import SUITES, run_suite
+
+MOMENT_SUITES = ("beta-moments", "dirichlet-chain")
 
 # printed (%.12g) p = 1 quadrature results of the transform suites at the
 # default seed, as the doubling tensor route gives them
@@ -79,3 +95,77 @@ def test_p1_transform_values_are_pinned(name):
     res = run_suite(name, seed=DEFAULT_SEED, p=1)
     got = {c.id: "%.12g" % c.got for c in res.cases if c.id in P1_TRANSFORM_GOT[name]}
     assert got == P1_TRANSFORM_GOT[name]
+
+
+def _traced_peak(name, n):
+    tracemalloc.start()
+    try:
+        run_suite(name, seed=DEFAULT_SEED, n_samples=n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", MOMENT_SUITES)
+def test_moment_suite_memory_stays_flat_in_n(name):
+    # the draws come in passes of BATCH_DRAWS and only their log-dets are
+    # kept, so past the passes' own arrays the peak grows by a few float64
+    # values per draw: the log-det arrays and their temporaries, no
+    # (n, p, p) stack (4 values a draw at p = 2)
+    run_suite(name, seed=DEFAULT_SEED, n_samples=10)
+    small = _traced_peak(name, None)
+    assert small < 6e6
+    assert _traced_peak(name, 400000) - small <= 5 * 8 * (400000 - 100000)
+
+
+def _recorded_draws(name, n, monkeypatch):
+    """id -> the per-draw values that reach _mean_case in the suite at n."""
+    seen = {}
+    monkeypatch.setattr(suites, "_mean_case", lambda cid, ref, want, v: seen.update({cid: v}))
+    run_suite(name, seed=DEFAULT_SEED, n_samples=n)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, BATCH_DRAWS, BATCH_DRAWS + 1, 2 * BATCH_DRAWS + 3])
+@pytest.mark.parametrize("name", MOMENT_SUITES)
+def test_every_draw_reaches_the_mean(name, n, monkeypatch):
+    seen = _recorded_draws(name, n, monkeypatch)
+    assert len(seen) == {"beta-moments": 8, "dirichlet-chain": 2}[name]
+    assert all(len(vals) == n for vals in seen.values())
+
+
+@pytest.mark.parametrize("name", MOMENT_SUITES)
+def test_moment_suite_refuses_a_negative_draw_count(name):
+    # a count below 1 makes no pass, which would leave the moment cases out
+    with pytest.raises(DomainError, match="at least one draw"):
+        run_suite(name, seed=DEFAULT_SEED, n_samples=-5)
+
+
+def _one_block_values(name, seed, n):
+    """id -> per-draw values from one draw of n and LAPACK slogdet of the
+    dense stacks, the suites' calls for n <= BATCH_DRAWS."""
+    out = {}
+    if name == "beta-moments":
+        for pp in (1, 2):
+            df = 2.0 * pp + 1.5
+            ld = np.linalg.slogdet(sample_wishart(pp, df, RngStream(seed, 10 + pp), size=n))[1]
+            out.update({f"wishart-det-p{pp}-h{h}": np.exp(h * ld) for h in (1.0, 1.7)})
+            prm = BetaMatParams(pp, 1.2 + 0.5 * pp, 2.0)
+            ld = np.linalg.slogdet(sample_matrix_beta(prm, RngStream(seed, 20 + pp), size=n))[1]
+            out.update({f"beta-det-p{pp}-h{h}": np.exp(h * ld) for h in (1.0, 2.3)})
+    else:
+        pairs = [BetaMatParams(2, 2.5, 4.0), BetaMatParams(2, 2.0, 2.5)]
+        ys = dirichlet_chain_inverse(sample_dirichlet_chain(pairs, RngStream(seed, 40), size=n))
+        for j, y in enumerate(ys):
+            out[f"chain-recovered-beta-p2-slot{j}"] = np.exp(np.linalg.slogdet(y)[1])
+    return out
+
+
+@pytest.mark.parametrize("n", [1000, BATCH_DRAWS])
+@pytest.mark.parametrize("name", MOMENT_SUITES)
+def test_one_pass_matches_a_one_block_slogdet(name, n, monkeypatch):
+    seen = _recorded_draws(name, n, monkeypatch)
+    want = _one_block_values(name, DEFAULT_SEED, n)
+    assert seen.keys() == want.keys()
+    for cid, vals in seen.items():
+        np.testing.assert_allclose(vals, want[cid], rtol=1e-12, err_msg=cid)
