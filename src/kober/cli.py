@@ -15,7 +15,8 @@ runs with the same seed produce byte-identical output.  A config file of
 KOBER_SEED replaces the built-in default seed but never an explicit one.
 
 Exit codes: 0 all good, 1 a verification case failed, 2 bad arguments or
-a domain error (with a diagnostic on stderr and no output written).
+a domain error (with a diagnostic on stderr and no output written), 141
+(128 + SIGPIPE) the reader of stdout closed it early, no traceback.
 """
 
 import argparse
@@ -468,7 +469,12 @@ def main(argv=None):
         with open(cfg.out, "w", newline="") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:  # and stdout to devnull for the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return code
 
 

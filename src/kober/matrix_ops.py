@@ -35,7 +35,7 @@ from .randmat import (
     wishart_factor,
     wishart_logdet,
 )
-from .spd import require_spd, sym_sqrt
+from .spd import require_spd
 
 # an estimate draws consecutive whole streams together, up to this many
 # draws per pass of the sampler and factor algebra; a stream of more draws
@@ -407,7 +407,7 @@ def _proposals(params):
 
 
 def _operator_draws(kind, params, f, extra=()):
-    """(scale, det_only, vals) of the operator of the given kind: scale is
+    """(scale, vals) of the operator of the given kind: scale is
     the Gamma_p ratio of the slots' beta proposals, with Gamma_p(x) of each
     x in extra in the numerator.  vals(rng, m, roots, log_u, c) is f at m
     beta draws W_j = K_j K_j' per slot, weighted by |W_j|^(-power), at
@@ -449,12 +449,14 @@ def _operator_draws(kind, params, f, extra=()):
             out = out * np.exp(weight)
         return out
 
-    return scale, det_only, vals
+    return scale, vals
 
 
 def _kober_matrix(kind, params, f, U, mc):
     """The operator of the given kind at (U_1..U_k): _operator_draws with
-    each slot's U as log|U| and, off the determinant route, its root U^(1/2)."""
+    each slot's root R the Cholesky factor of U = R R', and log|U| from R.
+    U^(1/2) = R H' (H orthogonal) would give the same law, as W and H W H'
+    share it (Muirhead 1982, Thm 3.3.1), with other draws except at p = 1."""
     if params.kind != kind:
         raise DomainError(f"params.kind must be {kind!r}")
     U = [require_spd(u, "operator argument") for u in U]
@@ -463,9 +465,9 @@ def _kober_matrix(kind, params, f, U, mc):
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     mc = mc or MCConfig()
-    scale, det_only, vals = _operator_draws(kind, params, f)
-    roots = None if det_only else [smallmat.entries(sym_sqrt(u, check=False)) for u in U]
-    log_u = [smallmat.logdet(smallmat.cholesky(smallmat.entries(u))) for u in U]
+    scale, vals = _operator_draws(kind, params, f)
+    roots = [smallmat.cholesky(smallmat.entries(u)) for u in U]
+    log_u = [smallmat.logdet(r) for r in roots]
     return _mc_expectation(lambda rng, m: vals(rng, m, roots, log_u, 1.0), mc, scale=scale)
 
 
@@ -478,7 +480,7 @@ def kober_matrix_second(params, f, U, mc=None):
     drawn from ceil(p/2) univariate betas (Muirhead 1982, Thm 3.3.3, with
     Legendre duplication; randmat.matrix_beta_logdet).  Otherwise
     W^(-1) and |W| come from the triangular factor K of each beta draw, so
-    V = C C' with C = U^(1/2) K^(-T).
+    V = C C' with C = R K^(-T), R the Cholesky factor of U = R R'.
     """
     return _kober_matrix("second", params, f, U, mc)
 
@@ -491,7 +493,8 @@ def kober_matrix_first(params, f, U, mc=None):
     For det_power only log|V| = log|U| + log|W| is needed, and log|W| is
     drawn from ceil(p/2) univariate betas (Muirhead 1982, Thm 3.3.3, with
     Legendre duplication; randmat.matrix_beta_logdet).  Otherwise
-    W = K K' comes from the beta factor, and V = C C' with C = U^(1/2) K.
+    W = K K' comes from the beta factor, and V = C C' with C = R K, R the
+    Cholesky factor of U = R R'.
     """
     return _kober_matrix("first", params, f, U, mc)
 

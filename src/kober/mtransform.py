@@ -349,7 +349,7 @@ def mtransform_mc_operator(params, f, s, mc=None):
     dfs = [max(2.0 * sj, p - 0.5) for sj in pt]
     # the proposal normalisers Gamma_p(df0/2) of Wishart(df0, I/2), density
     # |U|^(df0/2-(p+1)/2) exp(-tr U) / Gamma_p(df0/2), join the numerator
-    scale, _, vals = _operator_draws("second", params, f, extra=[df0 / 2.0 for df0 in dfs])
+    scale, vals = _operator_draws("second", params, f, extra=[df0 / 2.0 for df0 in dfs])
 
     def vals_fn(rng, m):
         logs = 0.0

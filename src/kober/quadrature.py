@@ -224,7 +224,9 @@ def quad_operator(op):
     positive, and returns the value as a Python float, or (value, QuadInfo)
     with full_output=True; QuadInfo.last_delta is a Python float as well,
     and nodes == 0 where the result is exactly zero without quadrature.  A
-    float overflow raises RatioOverflow.
+    float overflow, and so a value that is not finite, raises RatioOverflow;
+    numpy's overflow warnings are off for the call (once, not at each
+    evaluation of the integrand), as the error takes their place.
     """
 
     @wraps(op)
@@ -232,10 +234,13 @@ def quad_operator(op):
         for a in np.atleast_1d(params.get("alpha", ())):
             _check_order(a)
         try:
-            val, info = op(*args, q=q or QuadConfig(), **params)
+            with np.errstate(over="ignore"):
+                val, info = op(*args, q=q or QuadConfig(), **params)
         except OverflowError as exc:  # e.g. a power of a point near 0 or inf
             raise RatioOverflow(f"{op.__name__}: a value exceeds the floating range") from exc
         val = float(val)
+        if not math.isfinite(val):
+            raise RatioOverflow(f"{op.__name__}: the value {val} is out of the floating range")
         if full_output:
             return val, info
         return val

@@ -18,7 +18,7 @@ import numpy as np
 from . import smallmat
 from .errors import ChainDomainError, DomainError
 from .matgamma import check_dim, ln_gamma_p
-from .spd import _chain_forward
+from .spd import _chain
 
 DEFAULT_SEED = 0xE4DE17
 
@@ -194,8 +194,10 @@ def sample_dirichlet_chain(pairs, stream, size=1):
     pairs is the list of derived BetaMatParams, one per chain slot (the
     parameter arithmetic lives in matrix_ops.param_chain; this sampler is
     distribution rule agnostic).  The draws go through the congruence chain
-    of spd.dirichlet_chain_forward, X_j = S_{j-1}^{1/2} Y_j S_{j-1}^{1/2},
-    S_j = S_{j-1} - X_j, S_0 = I, one slot at a time.
+    of spd.dirichlet_chain_forward, X_j = L_(j-1) Y_j L_(j-1)' with L_(j-1)
+    the Cholesky factor of S_(j-1), S_j = S_(j-1) - X_j, S_0 = I, one slot
+    at a time; S_(j-1)^(1/2) = L_(j-1) H' (H orthogonal) would give the same
+    law, as Y_j and H Y_j H' share it (Muirhead 1982, Thm 3.3.1).
     """
     if not pairs:
         raise ChainDomainError("chain needs at least one beta parameter pair")
@@ -203,8 +205,8 @@ def sample_dirichlet_chain(pairs, stream, size=1):
     if any(prm.p != p for prm in pairs):
         raise ChainDomainError("all chain slots must share the dimension p")
     rng = _resolve_rng(stream)
-    ys = (sample_matrix_beta(prm, rng, size) for prm in pairs)
-    return _chain_forward(ys, (size, p, p))
+    ys = (smallmat.entries(sample_matrix_beta(prm, rng, size)) for prm in pairs)
+    return _chain(p, ys, forward=True)
 
 
 # closed-form determinant moments used as oracles for the samplers

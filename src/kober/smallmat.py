@@ -11,7 +11,8 @@ may share entry arrays with an input, and a symmetric result holds the same
 array at [i][j] and [j][i].
 
 An SPD matrix S is carried by a triangular factor T with a positive
-diagonal and S = T T' (lower for cholesky and the samplers in randmat);
+diagonal and S = T T' (lower for cholesky, the samplers in randmat and the
+congruences of spd and matrix_ops);
 from it, S^(-1) = T^(-T) T^(-1) has the upper factor inv_factor(T) and
 log|S| = 2 sum_i log T_ii, with no fresh decomposition.
 """
@@ -76,13 +77,15 @@ def matmul(a, b):
     return [[_dot(zip(row, col)) for col in cols] for row in a]
 
 
-def gram(a):
-    """A A' for a p x m stack A (rows of any common length m)."""
+def gram(a, b=None):
+    """A A' for a p x m stack A (rows of any common length m), or A B' for
+    a B with A B' symmetric: the lower triangle, mirrored."""
+    b = a if b is None else b
     p = len(a)
     out = [[None] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1):
-            out[i][j] = out[j][i] = _dot(zip(a[i], a[j]))
+            out[i][j] = out[j][i] = _dot(zip(a[i], b[j]))
     return out
 
 
@@ -91,9 +94,19 @@ def gram_trace(a):
     return sum(_dot(zip(row, row)) for row in a)
 
 
+def sub(a, b):
+    """A - B."""
+    return [[_minus(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def congruence(m, t):
     """M S M' for the SPD stack S = T T' given by its factor T."""
     return gram(matmul(m, t))
+
+
+def sandwich(m, a):
+    """M A M' for a symmetric stack A."""
+    return gram(matmul(m, a), m)
 
 
 def cholesky(a):

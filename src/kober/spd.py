@@ -3,6 +3,13 @@
 Matrices are plain numpy arrays of shape (p, p), or (..., p, p) for batches.
 The packed coordinate convention used for finite-difference Jacobians is the
 upper triangle in row-major order: (x11, x12, ..., x1p, x22, x23, ...).
+
+Every congruence by an SPD S (the chain map here, the operators' roots in
+matrix_ops) takes the lower Cholesky factor L of S = L L', not S^(1/2).  As
+L = S^(1/2) H with H orthogonal and the matrix beta is invariant under
+Y -> H Y H' (Muirhead 1982, Thm 3.3.1; Gupta & Nagar 2000, ch. 5), L Y L'
+has the law of S^(1/2) Y S^(1/2), and |L| = |S|^(1/2) gives the same
+Jacobian |S|^((p+1)/2).
 """
 
 from dataclasses import dataclass
@@ -73,8 +80,7 @@ def spd_check(a):
 
 
 def require_spd(a, what="matrix"):
-    """a symmetrized, after checking it is symmetric and positive definite;
-    the result needs no further check (sym_sqrt(..., check=False))."""
+    """a symmetrized, after checking it is symmetric and positive definite."""
     a = require_symmetric(a)
     mn = float(np.linalg.eigvalsh(a).min())
     if not mn > 0.0:
@@ -82,42 +88,15 @@ def require_spd(a, what="matrix"):
     return a
 
 
-def _spd_power(a, power):
-    """A^power, power = +-1/2, for a stack of SPD matrices: closed form at
-    p = 2, eigendecomposition otherwise (and for 2 x 2 members the closed
-    form cannot certify as positive definite)."""
-    if a.shape[-1] == 2:
-        tr = (a[..., 0, 0] + a[..., 1, 1])[..., None, None]
-        det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])[..., None, None]
-        if np.all(tr > 0.0) and np.all(det > 0.0):
-            # A^(1/2) = (A + s I) / t with s = |A|^(1/2), t = (tr A + 2 s)^(1/2);
-            # its inverse, the adjugate over the determinant s, is
-            # ((tr A + s) I - A) / (s t)
-            s = np.sqrt(det)
-            t = np.sqrt(tr + 2.0 * s)
-            if power > 0:
-                return (a + s * np.eye(2)) / t
-            return ((tr + s) * np.eye(2) - a) / (s * t)
-    w, q = np.linalg.eigh(a)
-    if w.min() <= 0.0:
+def sym_sqrt(a):
+    """The symmetric positive definite square root, by eigendecomposition;
+    no congruence in the library takes it (see above)."""
+    w, q = np.linalg.eigh(require_symmetric(a))
+    if not w.min() > 0.0:
         raise NotPositiveDefinite(
-            f"matrix power {power} requires a positive definite matrix "
-            f"(min eigenvalue {w.min():.3e})"
+            f"the square root requires a positive definite matrix (min eigenvalue {w.min():.3e})"
         )
-    return (q * (w**power)[..., None, :]) @ np.swapaxes(q, -1, -2)
-
-
-def sym_sqrt(a, check=True):
-    """Symmetric positive definite square root: closed form at p = 2,
-    eigendecomposition at p = 1 and 3."""
-    a = require_symmetric(a) if check else np.asarray(a, dtype=float)
-    return _spd_power(a, 0.5)
-
-
-def sym_inv_sqrt(a, check=True):
-    """Symmetric inverse square root, the inverse of sym_sqrt's root."""
-    a = require_symmetric(a) if check else np.asarray(a, dtype=float)
-    return _spd_power(a, -0.5)
+    return (q * np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def loewner_lt(a, b):
@@ -147,16 +126,25 @@ def jac_inverse(y):
 
 
 def dirichlet_chain_forward(ys):
-    """Map independent-coordinates (y_1..y_k) to chain coordinates (x_1..x_k).
+    """Map independent coordinates (y_1..y_k) to chain coordinates (x_1..x_k).
 
-    x_j = S_{j-1}^{1/2} y_j S_{j-1}^{1/2} with the complement recursion
-    S_0 = I, S_j = S_{j-1} - x_j = S_{j-1}^{1/2} (I - y_j) S_{j-1}^{1/2};
-    this is the congruence form under which the complement of every partial
-    sum factors, so independent y_j give chain-distributed x_j.  For p = 1 it
-    reduces to stick breaking x_j = y_j prod_{i<j}(1 - y_i).
+    x_j = L_(j-1) y_j L_(j-1)', with S_0 = I, S_j = S_(j-1) - x_j and
+    L_j the lower Cholesky factor of S_j; S_j = L_(j-1) (I - y_j) L_(j-1)'
+    is the congruence form under which the complement of every partial sum
+    factors, so independent beta y_j give chain-distributed x_j, as they
+    would with S_(j-1)^(1/2) for L_(j-1) (see above).  For p = 1 it reduces
+    to stick breaking x_j = y_j prod_{i<j}(1 - y_i).
     """
     ys = [require_symmetric(y) for y in ys]
-    return _chain_forward(ys, ys[0].shape)
+    return _chain(ys[0].shape[-1], map(smallmat.entries, ys), forward=True)
+
+
+def dirichlet_chain_inverse(xs):
+    """Inverse of dirichlet_chain_forward: y_j = L_r^(-1) x_j L_r^(-T), with
+    L_r the lower Cholesky factor of I - x_1 - ... - x_(j-1), requiring every
+    partial complement I - x_1 - ... - x_j to stay positive definite."""
+    xs = [require_symmetric(x) for x in xs]
+    return _chain(xs[0].shape[-1], map(smallmat.entries, xs), forward=False)
 
 
 # both directions of the chain map refuse a complement S_j whose smallest
@@ -165,51 +153,30 @@ def dirichlet_chain_forward(ys):
 CHAIN_MARGIN = 1e-12
 
 
-def _check_complement(s, what):
-    """OutOfRange unless every member of the stack s has its smallest
-    eigenvalue above CHAIN_MARGIN, i.e. s - CHAIN_MARGIN I has a Cholesky
-    factor; the eigenvalues are computed only for the message."""
-    try:
-        smallmat.cholesky(smallmat.entries(s - CHAIN_MARGIN * np.eye(s.shape[-1])))
-    except NotPositiveDefinite:
-        w = np.linalg.eigvalsh(s).min()
-        raise OutOfRange(
-            f"{what} reaches the boundary (complement min eigenvalue {w:.3e})"
-        ) from None
-
-
-def _chain_forward(ys, shape):
-    """The congruence loop of dirichlet_chain_forward over an iterable of
-    symmetric stacks of the given shape, taken as they come."""
-    eye = np.broadcast_to(np.eye(shape[-1]), shape)
-    xs = []
-    s = eye.copy()
-    for j, y in enumerate(ys, start=1):
-        root = sym_sqrt(s, check=False)
-        xs.append(root @ y @ root)
-        s = root @ (eye - y) @ root
-        _check_complement(s, f"chain coordinate y_{j}")
-    return xs
-
-
-def dirichlet_chain_inverse(xs):
-    """Inverse of dirichlet_chain_forward.
-
-    y_j = (I - x_1 - ... - x_{j-1})^{-1/2} x_j (I - x_1 - ... - x_{j-1})^{-1/2},
-    requiring every partial complement I - x_1 - ... - x_j to stay positive
-    definite.
-    """
-    xs = [require_symmetric(x) for x in xs]
-    p = xs[0].shape[-1]
-    remainder = np.broadcast_to(np.eye(p), xs[0].shape).copy()
-    ys = []
-    for j, x in enumerate(xs, start=1):
-        r = sym_inv_sqrt(remainder, check=False)
-        ys.append(r @ x @ np.swapaxes(r, -1, -2))
-        remainder = remainder - x
-        what = f"partial sum x_1 + ... + x_{j}"
-        _check_complement(remainder, "total sum of chain coordinates" if j == len(xs) else what)
-    return ys
+def _chain(p, items, forward):
+    """Both chain maps over an iterable of symmetric p x p smallmat stacks,
+    taken as they come, as dense stacks: with L the Cholesky factor of
+    S_(j-1), forward maps y_j to x_j = L y_j L', inverse x_j to
+    y_j = L^(-1) x_j L^(-T); both step S_j = S_(j-1) - x_j, so the inverse
+    meets the forward map's factors.  OutOfRange where S_j - CHAIN_MARGIN I
+    has no Cholesky factor; the congruences take S_j's own, so stay exact."""
+    s = [[1.0 if a == b else None for b in range(p)] for a in range(p)]
+    margin = [[CHAIN_MARGIN if a == b else None for b in range(p)] for a in range(p)]
+    out = []
+    for j, item in enumerate(items, start=1):
+        t = smallmat.cholesky(s)
+        x = smallmat.sandwich(t, item) if forward else item
+        out.append(x if forward else smallmat.sandwich(smallmat.tri_inv(t), x))
+        s = smallmat.sub(s, x)
+        try:
+            smallmat.cholesky(smallmat.sub(s, margin))
+        except NotPositiveDefinite:
+            w = np.linalg.eigvalsh(smallmat.stack(s)).min()
+            what = f"chain coordinate y_{j}" if forward else f"partial sum x_1 + ... + x_{j}"
+            raise OutOfRange(
+                f"{what} reaches the boundary (complement min eigenvalue {w:.3e})"
+            ) from None
+    return [smallmat.stack(x) for x in out]
 
 
 def jac_dirichlet_chain(ys):

@@ -371,6 +371,23 @@ def test_cli_entry_via_module(tmp_path):
     )
 
 
+def test_reader_closing_the_pipe_early_ends_quietly():
+    # as `kober verify --suite jacobians | head -c 0`: the reader is gone
+    # before the suite has run, so the write meets a closed pipe
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kober.cli", "verify", "--suite", "jacobians"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def _config(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

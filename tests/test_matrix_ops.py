@@ -33,7 +33,6 @@ from kober.randmat import (
     matrix_beta_factor,
     wishart_det_moment,
 )
-from kober.spd import sym_sqrt
 
 U22 = np.array([[2.0, 0.3], [0.3, 1.0]])
 
@@ -389,7 +388,7 @@ def test_density_mode_logdets_batch_slices_are_each_streams_own_draws():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_singular_beta_draw_is_a_kober_error():
     # zeta within 0.3 of (p-1)/2 gives beta draws whose W^(-1) is past the
-    # conditioning a dense V = U^(1/2) W^(-1) U^(1/2) can hold; a callback
+    # conditioning a dense V = R W^(-1) R' (U = R R') can hold; a callback
     # takes the factor route and gets that dense V, so each seed must either
     # raise a KoberError (never a numpy LinAlgError) or return within 4 s.e.
     # of Gamma_3(zeta-lam)/Gamma_3(zeta-lam+alpha)
@@ -439,16 +438,17 @@ def _law_families(p, k):
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2])
 def test_factor_summaries_match_dense_value(p, k):
-    # V_j = C_j C_j' as the operators form it: C = U^(1/2) K^(-T) with
-    # log|V| = log|U| - log|W| (second kind) or C = U^(1/2) K with
-    # log|V| = log|U| + log|W| (first kind), W = K K' a beta draw
+    # V_j = C_j C_j' as the operators form it: C = R K^(-T) with
+    # log|V| = log|U| - log|W| (second kind) or C = R K with
+    # log|V| = log|U| + log|W| (first kind), W = K K' a beta draw and R any
+    # root of U = R R', here its Cholesky factor
     rng = np.random.default_rng(40 + p)
     n = 500
     us = []
     for _ in range(k):
         g = rng.standard_normal((p, p))
         us.append(g @ g.T / p + 0.5 * np.eye(p))
-    roots = [smallmat.entries(sym_sqrt(u)) for u in us]
+    roots = [smallmat.cholesky(smallmat.entries(u)) for u in us]
     log_u = [math.log(np.linalg.det(u)) for u in us]
     ks = [matrix_beta_factor(BetaMatParams(p, 4.0 + p, 4.0 + p), rng, n) for _ in range(k)]
     forms = [

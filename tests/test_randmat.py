@@ -220,6 +220,21 @@ def test_chain_scalar_dirichlet_moments():
         mean_within(x1**m * x2**n, dir_moment(m, n))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_slot_means(p):
+    # the chain law itself, for any factor L_1 of I - X_1: E X_1 = c_1 I and
+    # E X_2 = E[L_1 Y_2 L_1'] = c_2 E[I - X_1] = c_2 (1 - c_1) I, with
+    # c_j = a_j / (a_j + b_j) the mean of Y_j ~ beta_p(a_j, b_j)
+    pairs = [BetaMatParams(p, 2.0, 3.0), BetaMatParams(p, 1.5, 2.5)]
+    c1, c2 = (prm.a / (prm.a + prm.b) for prm in pairs)
+    xs = sample_dirichlet_chain(pairs, RngStream(14, p), size=20000)
+    for x, c in zip(xs, (c1, c2 * (1.0 - c1))):
+        want = c * np.eye(p)
+        for i in range(p):
+            for j in range(p):
+                mean_within(x[:, i, j], want[i, j], k=4.0)
+
+
 def test_chain_sum_stays_below_identity():
     pairs = [BetaMatParams(2, 2.0, 3.0)] * 3
     xs = sample_dirichlet_chain(pairs, RngStream(11), size=100000)

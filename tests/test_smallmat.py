@@ -39,6 +39,7 @@ def test_gram_and_matmul_match_numpy(p):
     ea, eb = smallmat.entries(a), smallmat.entries(b)
     close(smallmat.stack(smallmat.gram(ea)), a @ np.swapaxes(a, -1, -2))
     close(smallmat.stack(smallmat.matmul(ea, eb)), a @ b)
+    close(smallmat.stack(smallmat.sub(ea, eb)), a - b)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -63,6 +64,8 @@ def test_congruence_matches_numpy(p):
     t = smallmat.cholesky(smallmat.entries(s))
     want = m @ s @ np.swapaxes(m, -1, -2)
     close(smallmat.stack(smallmat.congruence(smallmat.entries(m), t)), want)
+    # the same congruence of S itself, not its factor
+    close(smallmat.stack(smallmat.sandwich(smallmat.entries(m), smallmat.entries(s))), want)
     # a single matrix, held as floats, broadcasts over the stack
     m0 = m[0]
     close(smallmat.stack(smallmat.congruence(smallmat.entries(m0), t)), m0 @ s @ m0.T)
