@@ -219,7 +219,7 @@ def _joint_values(f, *xs):
 
 
 def mtransform_quadrature(params, f, s, *, axes=None):
-    """M-transform of the operator output by tensor quadrature, p = 1, k <= 2:
+    """M-transform of the operator output by tensor quadrature at p = 1:
     (value, QuadInfo) from converge_doubling under TENSOR_Q.
 
     Each slot's n-node estimate sums its flat nodes (_slot_nodes).  A law is
@@ -237,12 +237,11 @@ def mtransform_quadrature(params, f, s, *, axes=None):
     slots reach f.value as mutually broadcastable stacks of shapes
     (rows, 1, 1, 1) and (1, n2, 1, 1): it must index them as v[..., i, j]
     and return shape (rows, n2), else DomainError is raised.  A callback
-    without axes, or axes of a length other than k, raises DomainError.
+    without axes, or axes of a length other than k, raises DomainError, and
+    so does a callback of three slots, whose joint grid is out of reach.
     """
     if params.p != 1:
         raise DomainError("the quadrature transform path needs p = 1")
-    if params.k > 2:
-        raise DomainError("the quadrature transform path covers k <= 2")
     if f.k != params.k:
         raise DomainError(f"{f.family} has {f.k} slots, the operator {params.k}")
     pt, _ = _transform_args(params, s)
@@ -255,6 +254,9 @@ def mtransform_quadrature(params, f, s, *, axes=None):
         _slot_nodes(params.kind, zeta, alpha, sj, axis)
         for (zeta, alpha), sj, axis in zip(params.pairs, pt, declared)
     ]
+    if factors is None and params.k > 2:  # 2n^2 + n first-kind, 2n^2 second-kind nodes a slot
+        size = math.prod(len(nodes(TENSOR_Q.base_nodes)[0]) for nodes in slots)
+        raise DomainError(f"a callback's joint grid has {size:.3g} values at the doubling's first level")
 
     def estimate(n):
         flat = [nodes(n) for nodes in slots]

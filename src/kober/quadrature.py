@@ -151,14 +151,15 @@ def doubling_sum(q, pieces):
     added in the order of the pieces: the one body of every doubling
     estimate.  A piece (rules, g, c) names one rule per axis, the nodes and
     weights of jacobi_rule_01(n, *ab) for a pair ab, of legendre_rule_01(n)
-    for None.  S_j is w @ g(t) on one axis, where a scalar g(t), such as a
-    callback's constant output, stands for its value at every node, and
-    grid_sum(g, nodes, weights) on two or more."""
+    for None, or rule(n) for a callable rule.  S_j is w @ g(t) on one axis,
+    where a scalar g(t), such as a callback's constant output, stands for its
+    value at every node, and grid_sum(g, nodes, weights) on two or more."""
 
     def estimate(n):
         total = None
         for rules, g, c in pieces:
-            axes = [legendre_rule_01(n) if ab is None else jacobi_rule_01(n, *ab) for ab in rules]
+            axes = [ab(n) if callable(ab) else legendre_rule_01(n) if ab is None
+                    else jacobi_rule_01(n, *ab) for ab in rules]
             if len(axes) > 1:
                 s = grid_sum(g, *zip(*axes))
             else:

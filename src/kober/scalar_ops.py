@@ -8,18 +8,19 @@ singularities into the quadrature weight:
   second kind  g(u) = (1/Gamma(a)) int_0^1 (1-t)^(a-1) t^(z-1) f(u/t) dt
 
 with a the fractional order and z the index parameter.  Known power behaviour
-of the integrand family at the singular endpoint is absorbed into the weight
-as well, so the remaining integrand is smooth.  One first-kind body serves
-kober_first, riemann_liouville, saigo_first and every integral over a bounded
-interval: a compact support only moves the interval's ends.  kober_second and
-multivar_op's joint second kind run it by K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u):
-a power tail v^(-m) of f becomes zero order m, an exponential one
-max(1 - z, 0) and a support [lo, hi] [1/hi, 1/lo].  weyl_right, weyl_left and
-mtransform.mellin_numeric_1d share one half-line body, int_0^inf w^(s-1) f(w) dw:
-a Jacobi head on (0, 1) and a tail set by f's declared decay.  On a support
-[lo, hi] that body is the first kind at x = hi with alpha = 1, and weyl_right
-past 0 the first kind on f(-.) from -hi at -x.  Every estimate is a
-quadrature.doubling_sum, multivar_op's joint one a piece over its k-axis grid.
+of the integrand family at the singular endpoint is absorbed into the weight as
+well, so the remaining integrand is smooth.  One axis map (_axis) serves
+kober_first, riemann_liouville, saigo_first, every integral over a bounded
+interval and each variable of multivar_op's joint integrand: a compact support
+only moves the interval's ends.  kober_second and the joint second kind take it
+by K2_(z,a) f(u) = K1_(z-1,a)[f(1/.)](1/u) (_reciprocal): a power tail v^(-m)
+of f becomes zero order m, an exponential one max(1 - z, 0) and a support
+[lo, hi] [1/hi, 1/lo].  weyl_right, weyl_left and mtransform.mellin_numeric_1d
+share one half-line body, int_0^inf w^(s-1) f(w) dw: a Jacobi head on (0, 1)
+and a tail set by f's declared decay.  On a support [lo, hi] that body is the
+first kind at x = hi with alpha = 1, and weyl_right past 0 the first kind on
+f(-.) from -hi at -x.  Every estimate is a quadrature.doubling_sum, the joint
+one a piece over the grid of its axis maps.
 """
 
 import itertools
@@ -41,6 +42,7 @@ from .quadrature import (
     QuadConfig,
     _check_order,
     doubling_sum,
+    jacobi_rule_01,
     quad_operator,
     scipy_special,
 )
@@ -349,16 +351,16 @@ def _check_point(u, name="u"):
     return u
 
 
-def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
-    """x^(lead-zeta-alpha)/Gamma(alpha) int_a^x (x-v)^(alpha-1) v^zeta kernel(v/x) f(v) dv,
-    the one body of every integral over a bounded interval.  a != 0 only with
-    zeta = 0 and lead = alpha, and then x and a may be negative, as in
-    weyl_right's reflected call.  A compact support [lo, hi] of f narrows the
-    interval to [lo, min(x, hi)], lo clipped at a; an exponential tail with
-    rate r ends the support at EXP_HORIZON / r, past which f underflows, so
-    that f is not 0 at every node for x far past it.  A Jacobi weight absorbs
-    v^(zeta + f's zero order) only when lo = 0; for lo != 0, v^zeta and the
-    kernel stay in the integrand.  For x <= hi the weight also absorbs
+def _axis(f, x, alpha, zeta, lead, a=0.0, kernel=None):
+    """x^(lead-zeta-alpha)/Gamma(alpha) int_a^x (x-v)^(alpha-1) v^zeta kernel(v/x) f(v) dv
+    = c sum_i w_i g_i on the Jacobi rule (t_i, w_i) of exponents ab, (v_i, g_i)
+    = points(t_i): the one map (ab, points, c) of every integral over a bounded
+    interval, None where it is exactly zero.  a != 0 only with zeta = 0 and
+    lead = alpha, and then x and a may be negative, as in weyl_right's
+    reflected call.  A compact support [lo, hi] of f narrows the interval to
+    [lo, min(x, hi)], lo clipped at a; an exponential tail with rate r ends it
+    at EXP_HORIZON / r, past which f underflows.  A Jacobi weight absorbs
+    v^(zeta + f's zero order) only when lo = 0, and for x <= hi also
     (x-v)^(alpha-1).  Past hi, w = x - v = near (far/near)^t with near = x - hi
     and far = x - lo turns (x-v)^(alpha-1) dv, nearly singular at v = hi when
     near is small, into the smooth ln(far/near) w^alpha dt."""
@@ -367,7 +369,7 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     if f.tail is not None and f.tail[0] == "exp":  # f underflows past the horizon
         hi = EXP_HORIZON / f.tail[1]
     if x <= lo or lo >= hi:
-        return EXACT_ZERO
+        return None
     order, res = f.split_power() if lo == 0.0 else (0.0, f)
     b = zeta + order if lo == 0.0 else 0.0  # the power of v in the weight
     if b <= -1.0:
@@ -376,23 +378,23 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
     if x <= hi:
         span = x - lo
 
-        def g(t):
+        def points(t):
             v = lo + span * t
             vals = np.asarray(res(v), dtype=float)
             if lo and zeta:
                 vals = vals * v**zeta
             if kernel is not None:  # v/x, and t itself when lo = 0 and span = x
                 vals = kernel(lo / x + t * (span / x)) * vals
-            return vals
+            return v, vals
 
         # span = x when lo = 0
         scale = x ** (lead - zeta - alpha) * span**alpha if lo else span ** (lead + order)
-        return doubling_sum(q, [(((alpha - 1.0, b),), g, scale / math.gamma(alpha))])
+        return (alpha - 1.0, b), points, scale / math.gamma(alpha)
 
     near, far = x - hi, x - lo
     log_ratio = math.log1p((hi - lo) / near)
 
-    def g(t):
+    def points(t):
         # v runs from hi at t = 0 to lo at t = 1, where v / (1 - t) stays
         # finite for lo = 0
         v = lo - far * np.expm1((t - 1.0) * log_ratio)
@@ -400,10 +402,18 @@ def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
         vals = vals * (v**zeta if lo else (v / (1.0 - t)) ** b)
         if kernel is not None:
             vals = kernel(v / x) * vals
-        return vals
+        return v, vals
 
     scale = x ** (lead - zeta - alpha) * log_ratio
-    return doubling_sum(q, [(((b, 0.0),), g, scale / math.gamma(alpha))])
+    return (b, 0.0), points, scale / math.gamma(alpha)
+
+
+def _first_kind(f, x, alpha, zeta, lead, q, a=0.0, kernel=None):
+    """The axis map of f (_axis) as a one-axis doubling_sum piece."""
+    axis = _axis(f, x, alpha, zeta, lead, a, kernel)
+    if axis is None:
+        return EXACT_ZERO
+    return doubling_sum(q, [((axis[0],), lambda t: axis[1](t)[1], axis[2])])
 
 
 @quad_operator
@@ -415,23 +425,12 @@ def kober_first(f, u, *, zeta, alpha, q):
     return _first_kind(as_test_function(f), _check_point(u), alpha, zeta, 0.0, q)
 
 
-@quad_operator
-def kober_second(f, u, *, zeta, alpha, q):
-    """Kober fractional integral of the second kind,
-
-    g(u) = u^zeta/Gamma(alpha) * int_u^inf v^(-zeta-alpha) (v-u)^(alpha-1) f(v) dv,
-
-    the first kind with index zeta - 1 on f(1/.) at 1/u.  A power tail v^(-m)
-    gives f(1/w) zero order s = m, an exponential tail s = max(1 - zeta, 0);
-    K1_(zeta-1)[g](x) = K1_(zeta-1+s)[(x/.)^s g](x) moves s into the index and
-    leaves the residual f(u/t) t^-s.  A support [lo, hi] maps to [1/hi, 1/lo],
-    with s = 1 - zeta so that no power of x leaves the float range alone.
-    """
-    f = as_test_function(f)
-    x = 1.0 / _check_point(u)
-    if f.tail is None:
-        raise TailDivergence("kober_second needs a declared tail to integrate to infinity")
-    kind, tail = f.tail[0], None
+def _reciprocal(f, u, zeta):
+    """(g, x, zeta - 1 + s), K2_(zeta,a) f(u) = K1_(zeta-1+s,a) g(x) at x = 1/u
+    with g(w) = f(1/w) (x/w)^s: s = m for a power tail v^(-m), max(1 - zeta, 0)
+    for an exponential one, 0 for none, and 1 - zeta for a support [lo, hi],
+    mapped to [1/hi, 1/lo], so that no power of x leaves the float range."""
+    x, kind, tail, s = 1.0 / u, f.tail and f.tail[0], None, 0.0
     if kind == "compact":  # lo = 0 maps to an unbounded support
         tail, s = ("compact", 1.0 / f.tail[2], 1.0 / f.tail[1] if f.tail[1] else math.inf), 1 - zeta
     elif kind == "power":
@@ -443,10 +442,25 @@ def kober_second(f, u, *, zeta, alpha, q):
             )
     elif kind == "exp":
         s = max(1.0 - zeta, 0.0)
-    else:
+    elif kind is not None:
         raise TailDivergence(f"unsupported tail declaration {f.tail!r}")
-    g = callback(lambda w: f(1.0 / w) * (x / w) ** s, tail=tail)
-    return _first_kind(g, x, alpha, zeta - 1.0 + s, 0.0, q)
+    return callback(lambda w: f(1.0 / w) * (x / w) ** s, tail=tail), x, zeta - 1.0 + s
+
+
+@quad_operator
+def kober_second(f, u, *, zeta, alpha, q):
+    """Kober fractional integral of the second kind,
+
+    g(u) = u^zeta/Gamma(alpha) * int_u^inf v^(-zeta-alpha) (v-u)^(alpha-1) f(v) dv,
+
+    the first kind on f(1/.) at 1/u (_reciprocal).
+    """
+    f = as_test_function(f)
+    u = _check_point(u)
+    if f.tail is None:
+        raise TailDivergence("kober_second needs a declared tail to integrate to infinity")
+    g, x, index = _reciprocal(f, u, zeta)
+    return _first_kind(g, x, alpha, index, 0.0, q)
 
 
 @quad_operator
@@ -670,31 +684,30 @@ def frac_derivative(f, x, *, alpha, q=None):
 # multivariable operators with product kernels
 
 
-def _check_multivar(u, zeta, alpha):
-    u = [float(x) for x in np.atleast_1d(u)]
-    zeta = [float(z) for z in np.atleast_1d(zeta)]
-    alpha = [float(a) for a in np.atleast_1d(alpha)]
+def _check_multivar(u, *params):
+    u = [_check_point(x) for x in np.atleast_1d(u)]
     k = len(u)
     if not 1 <= k <= MAX_SLOTS:
         raise DomainError(f"number of variables must be 1..{MAX_SLOTS}, got {k}")
-    if len(zeta) != k or len(alpha) != k:
-        raise DomainError("zeta and alpha must match the number of evaluation points")
-    for x in u:
-        _check_point(x)
-    return u, zeta, alpha, k
+    params = [[float(v) for v in np.atleast_1d(p)] for p in params]
+    if any(len(p) != k for p in params):
+        raise DomainError("each order and index needs one value per evaluation point")
+    return u, *params, k
 
 
 @quad_operator
-def multivar_op(kind, f, u, *, zeta, alpha, q):
+def multivar_op(kind, f, u, *, zeta, alpha, q, axes=None):
     """Multivariable Kober-type operator with a product kernel.
 
     kind is "first" or "second".  f is either a sequence of TestFunction1D
     (separable integrand) or a joint callable of k broadcastable arrays.
-    A joint callable is one doubling_sum piece over the k-axis grid
-    (quadrature.grid_sum, in slabs along the first variable); it must
-    return the broadcast shape of its arguments, 1 along any argument it
-    ignores, or a scalar, else DomainError is raised.  With full_output the
-    info of a separable integrand is the list of per-variable QuadInfo.
+    A joint callable is one doubling_sum piece over the grid of kober_first's
+    (kober_second's) k axis maps, in slabs along the first variable
+    (quadrature.grid_sum).  axes declares its variables, one TestFunction1D
+    each, else zero order 0 and no tail.  It must return the broadcast shape
+    of its arguments, 1 along any it ignores, or a scalar, else DomainError
+    is raised.  With full_output a separable integrand's info is the list of
+    per-variable QuadInfo.
     """
     u, zeta, alpha, k = _check_multivar(u, zeta, alpha)
     if kind not in ("first", "second"):
@@ -715,33 +728,39 @@ def multivar_op(kind, f, u, *, zeta, alpha, q):
 
     if not callable(f):
         raise DomainError("joint integrand must be callable")
-    if kind == "second":  # as in kober_second: the first kind on f(1/.) at 1/u
-        g, f = f, lambda *ws: g(*(1.0 / w for w in ws))
-        u, zeta = [1.0 / x for x in u], [z - 1.0 for z in zeta]
-    for j, z in enumerate(zeta):
-        if z <= -1.0:
-            raise TailDivergence(
-                f"zeta[{j}] must exceed -1 for a joint integrand"
-                if kind == "first"
-                else f"zeta[{j}] must be positive for a joint second-kind integrand"
-            )
-    rules = tuple((a - 1.0, z) for a, z in zip(alpha, zeta))
-    c = 1.0 / math.prod(math.gamma(a) for a in alpha)
-    return doubling_sum(q, [(rules, lambda *ts: f(*(x * t for x, t in zip(u, ts))), c)])
+    axes = [TestFunction1D("undeclared")] * k if axes is None else axes
+    if len(axes) != k:
+        raise DomainError(f"axes must declare each of the {k} variables, got {len(axes)}")
+    second, rules, c = kind == "second", [], 1.0
+    for j, (axis, x, z, a) in enumerate(zip(axes, u, zeta, alpha)):
+        axis = callback(lambda v: 1.0, axis.zero_order, axis.tail)  # valued 1: the map weights f
+        if second:
+            axis, x, z = _reciprocal(axis, x, z)
+        try:
+            m = _axis(axis, x, a, z, 0.0)
+        except TailDivergence:
+            bound = f"exceed {-1.0 - axis.zero_order:g} for a joint"
+            bound = "be positive for a joint second-kind" if second else bound
+            raise TailDivergence(f"zeta[{j}] must {bound} integrand") from None
+        if m is None:  # an empty axis
+            return EXACT_ZERO
+
+        def rule(n, ab=m[0], points=m[1]):  # f's arguments v (1/v, second kind)
+            t, w = jacobi_rule_01(n, *ab)
+            v, vals = points(t)
+            return 1.0 / v if second else v, w * vals
+
+        rules.append(rule)
+        c *= m[2]
+    return doubling_sum(q, [(tuple(rules), f, c)])
 
 
 def multivar_frac_derivative(f, x, *, alpha, q=None):
-    """Mixed fractional derivative with per-variable orders (k <= 2):
-    the mixed partial of order (m_1, ..., m_k) of the multivariable
-    Riemann-Liouville integral of orders (m_j - alpha_j)."""
+    """Mixed fractional derivative with per-variable orders: the mixed
+    partial of order (m_1, ..., m_k) of the multivariable Riemann-Liouville
+    integral of orders (m_j - alpha_j)."""
     q = q or QuadConfig()
-    alpha = [float(a) for a in np.atleast_1d(alpha)]
-    x = [float(v) for v in np.atleast_1d(x)]
-    k = len(alpha)
-    if len(x) != k:
-        raise DomainError("x and alpha must have the same length")
-    if k not in (1, 2):
-        raise DomainError("mixed fractional derivatives support at most two variables")
+    x, alpha, k = _check_multivar(x, alpha)
     if isinstance(f, (list, tuple)):
         if len(f) != k:
             raise DomainError("separable integrand must supply one factor per variable")
@@ -753,9 +772,9 @@ def multivar_frac_derivative(f, x, *, alpha, q=None):
     beta = [m[j] - alpha[j] for j in range(k)]
 
     # the first-kind product operator with zeta = 0 equals the plain
-    # Riemann-Liouville product integral divided by x_j^beta_j
-    def rl2(t1, t2):
-        val = multivar_op("first", f, (t1, t2), zeta=(0.0, 0.0), alpha=beta, q=q)
-        return val * t1 ** beta[0] * t2 ** beta[1]
+    # Riemann-Liouville product integral divided by prod_j x_j^beta_j
+    def rl(*t):
+        val = multivar_op("first", f, t, zeta=(0.0,) * k, alpha=beta, q=q)
+        return val * math.prod(tj**bj for tj, bj in zip(t, beta))
 
-    return _central_derivative(rl2, x, m, q)
+    return _central_derivative(rl, x, m, q)

@@ -284,6 +284,28 @@ def test_tensor_route_k2_separable():
         assert info.last_delta < 1e-6 * abs(val)
 
 
+@pytest.mark.parametrize(
+    "kind, s", [("second", 1.2), ("first", 0.8), ("second", (1.3, 0.9, 1.6)), ("first", (0.6, 1.1, 1.9))]
+)
+def test_tensor_route_k3_law(kind, s):
+    # a law's estimate is the product of its slot sums, so three slots cost
+    # three sums, not a joint grid
+    prm = MatrixOpParams(kind, 1, 3, ((1.8, 0.9), (1.5, 0.7), (2.0, 1.1)))
+    ratio = gamma_ratio_second if kind == "second" else gamma_ratio_first
+    want = ratio(prm, s) * math.prod(math.gamma(sj) for sj in np.broadcast_to(s, 3))
+    val, _ = mtransform_quadrature(prm, exp_neg_trace(1, 3), s)
+    np.testing.assert_allclose(val, want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind, size", [("first", r"9e\+09"), ("second", r"8\.59e\+09")])
+def test_tensor_route_refuses_a_three_slot_callback_by_its_grid(kind, size):
+    # 2n^2 + n first-kind (2n^2 second-kind) nodes a slot, at n = 32
+    f = matrix_callback(1, lambda *vs: np.exp(-sum(v[..., 0, 0] for v in vs)), k=3)
+    prm = MatrixOpParams(kind, 1, 3, ((1.8, 0.9), (1.5, 0.7), (2.0, 1.1)))
+    with pytest.raises(DomainError, match=f"joint grid has {size} values"):
+        mtransform_quadrature(prm, f, 1.2, axes=[exp_decay(1.0)] * 3)
+
+
 def test_tensor_route_k2_joint_not_separable():
     # f(v1, v2) = (v1 + v2) e^(-v1-v2) has transform
     # Gamma(s1+1) Gamma(s2) + Gamma(s1) Gamma(s2+1)

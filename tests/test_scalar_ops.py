@@ -16,6 +16,7 @@ from kober.errors import (
     HypergeometricNonConvergent,
     KoberError,
     NonDifferentiable,
+    QuadratureNotConverged,
     RatioOverflow,
     TailDivergence,
 )
@@ -1034,6 +1035,108 @@ def test_multivar_rejects_too_many_variables():
 def test_multivar_shape_mismatch():
     with pytest.raises(DomainError):
         multivar_op("first", [power(1.0)], (1.0, 2.0), zeta=(1.0,), alpha=(0.5,))
+
+
+def _separable(kind, fs, u, zeta, alpha):
+    op = kober_first if kind == "first" else kober_second
+    return math.prod(op(f, x, zeta=z, alpha=a) for f, x, z, a in zip(fs, u, zeta, alpha))
+
+
+@pytest.mark.parametrize("u", [1e3, 1e4, 1e5, 1e8])
+def test_multivar_joint_with_axes_far_past_the_exponential_horizon(u):
+    # each declared axis takes kober_first's map: past EXP_HORIZON the
+    # joint grid follows the decay instead of a bare rule scaled by u
+    fs, zeta, alpha = [exp_decay(1.0)] * 2, (1.0, 0.5), (1.0, 1.0)
+    val, info = multivar_op(
+        "first", lambda a, b: np.exp(-a - b), (u, 1.0), zeta=zeta, alpha=alpha, axes=fs,
+        full_output=True,
+    )
+    np.testing.assert_allclose(val, _separable("first", fs, (u, 1.0), zeta, alpha), rtol=1e-10)
+    assert info.nodes <= 256
+
+
+def test_multivar_joint_with_axes_at_an_underflowing_point():
+    # the true value underflows: 0.0 or a KoberError, no other exception
+    try:
+        val = multivar_op(
+            "first", lambda a, b: np.exp(-a - b), (1e300, 1.0), zeta=(1.0, 0.5),
+            alpha=(1.0, 1.0), axes=[exp_decay(1.0)] * 2,
+        )
+    except KoberError:
+        return
+    assert val == 0.0
+
+
+def _bump(v):
+    return np.where((v >= 0.5) & (v <= 2.0), np.cos(v), 0.0)
+
+
+@pytest.mark.parametrize("u", [1.0, 5.0, 1e4])
+def test_multivar_joint_with_a_compact_axis(u):
+    # inside the support and past its end, where the map ends at hi
+    fs = [callback(_bump, tail=("compact", 0.5, 2.0)), exp_decay(1.0)]
+    zeta, alpha = (0.7, 0.5), (1.3, 0.8)
+    val = multivar_op(
+        "first", lambda a, b: _bump(a) * np.exp(-b), (u, 1.5), zeta=zeta, alpha=alpha, axes=fs
+    )
+    np.testing.assert_allclose(val, _separable("first", fs, (u, 1.5), zeta, alpha), rtol=1e-10)
+
+
+@pytest.mark.parametrize("u", [0.5, 3.0])
+def test_multivar_joint_divides_out_a_declared_zero_order(u):
+    # v e^(-0.7 v) declared with zero order 1: zeta = -1.5 is integrable
+    fs = [power_times_exp(1.0, 0.7), exp_decay(1.0)]
+    zeta, alpha = (-1.5, 0.3), (0.6, 1.2)
+    val = multivar_op(
+        "first", lambda a, b: a * np.exp(-0.7 * a - b), (u, 2.0), zeta=zeta, alpha=alpha, axes=fs
+    )
+    np.testing.assert_allclose(val, _separable("first", fs, (u, 2.0), zeta, alpha), rtol=1e-10)
+
+
+@pytest.mark.parametrize("u", [0.5, 2.0, 10.0])
+def test_multivar_joint_second_kind_with_declared_tails(u):
+    # a power tail v^-3 and an exponential one: zeta <= 0 converges, as in
+    # kober_second, where an undeclared tail needs zeta > 0
+    fs = [power(-3.0), exp_decay(1.0)]
+    zeta, alpha = (-1.0, 0.4), (0.7, 1.3)
+    val = multivar_op(
+        "second", lambda a, b: a**-3.0 * np.exp(-b), (u, 0.8), zeta=zeta, alpha=alpha, axes=fs
+    )
+    np.testing.assert_allclose(val, _separable("second", fs, (u, 0.8), zeta, alpha), rtol=1e-10)
+
+
+def test_multivar_joint_with_an_empty_axis_is_exactly_zero():
+    calls = []
+    val, info = multivar_op(
+        "first", lambda a, b: calls.append(1) or np.exp(-a - b), (1.0, 1.0), zeta=(1.0, 1.0),
+        alpha=(1.0, 1.0), axes=[callback(np.ones_like, tail=("compact", 2.0, 3.0)), exp_decay()],
+        full_output=True,
+    )
+    assert (val, info.nodes, calls) == (0.0, 0, [])
+
+
+def test_multivar_refuses_axes_of_the_wrong_length():
+    with pytest.raises(DomainError, match="axes must declare each of the 2 variables"):
+        multivar_op(
+            "first", lambda a, b: np.exp(-a - b), (1.0, 1.0), zeta=(1.0, 1.0),
+            alpha=(1.0, 1.0), axes=[exp_decay()],
+        )
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureNotConverged, reason="FOUND: see CHANGES.md")
+def test_second_kind_exponential_tail_at_a_small_point():
+    # the reciprocal map leaves e^(-1/w) varying on a scale of 1 across an
+    # interval of length 1/u: at u = 1e-5 no rule up to 4096 nodes settles
+    want = 1.5632632309613881  # mpmath quad at 30 digits
+    val = kober_second(exp_decay(1.0), 1e-5, zeta=0.6, alpha=0.5)
+    np.testing.assert_allclose(val, want, rtol=1e-10)
+
+
+def test_mixed_derivative_three_variables_separable_matches_joint():
+    x, alpha = (1.1, 0.9, 1.3), (0.5, 0.7, 0.4)
+    sep = multivar_frac_derivative([power(2.0), power(1.5), exp_decay(1.0)], x, alpha=alpha)
+    joint = multivar_frac_derivative(lambda a, b, c: a**2 * b**1.5 * np.exp(-c), x, alpha=alpha)
+    np.testing.assert_allclose(sep, joint, rtol=1e-6)
 
 
 def test_mixed_derivative_separable_matches_joint():
