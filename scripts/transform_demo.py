@@ -37,7 +37,7 @@ def main():
 
     prm2 = MatrixOpParams(args.kind, 2, 1, ((args.zeta + 0.3, args.alpha),))
     f2 = exp_neg_trace(2, 1)
-    mc = MCConfig(n_samples=args.n_samples, seed=args.seed, n_streams=16)
+    mc = MCConfig(n_samples=args.n_samples, seed=args.seed)
     print(f"\np=2 Monte Carlo, N={args.n_samples}")
     print(f"{'s':>6} {'lhs':>18} {'rhs':>18} {'lhs/rhs':>12} {'dev/se':>8}")
     ok = True

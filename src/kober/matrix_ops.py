@@ -7,6 +7,12 @@ kernel becomes a type-1 matrix-beta density up to a gamma-ratio constant.
 The estimator is therefore unbiased with the proposal normalization supplying
 the constant, and errors come only from Monte Carlo noise.
 
+Every estimate is the mean of MCConfig.n_samples values drawn from one
+generator in passes of BATCH_DRAWS (_mc_expectation).  Its standard error is
+the values' own standard deviation over sqrt(n), and a Pareto fit to the
+largest |values| (Pareto smoothed importance sampling's k-hat) raises
+MomentDivergence where the tail is too heavy for that error to hold.
+
 A law that reads only log|V_j| (det_power: b = 0, no callback) needs only
 log|W_j| of each beta draw, and log|V_j| = log|U_j| +- log|W_j|.  Such an
 estimate draws log|W_j| from ceil(p/2) univariate betas (Muirhead 1982,
@@ -28,7 +34,6 @@ from .randmat import (
     DEFAULT_SEED,
     BetaMatParams,
     RngStream,
-    StreamBatch,
     _resolve_rng,
     matrix_beta_factor,
     matrix_beta_logdet,
@@ -37,11 +42,9 @@ from .randmat import (
 )
 from .spd import require_spd
 
-# an estimate draws consecutive whole streams together, up to this many
-# draws per pass of the sampler and factor algebra; a stream of more draws
-# is a pass of its own, drawn in chunks of at most MAX_CHUNK
+# an estimate draws its generator's values in passes of at most this many
+# draws through the sampler and factor algebra
 BATCH_DRAWS = 4096
-MAX_CHUNK = 200000
 
 
 @dataclass(frozen=True)
@@ -77,22 +80,17 @@ class MatrixOpParams:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo settings: about n_samples draws in all, split evenly over
-    n_streams independent RngStream(seed, i) substreams (the count rounded up
-    to a whole number per stream).  The estimate is the mean of the stream
-    means and its standard error their spread (batch means).  How the
-    streams are drawn, alone or batched with their neighbours, changes
-    neither: the bits depend only on these three fields."""
+    """Monte Carlo settings: n_samples draws from the one generator
+    RngStream(seed).generator().  The estimate is their mean and its
+    standard error sqrt(sample variance / n_samples); the bits depend only
+    on these two fields."""
 
     n_samples: int = 100000
     seed: int = DEFAULT_SEED
-    n_streams: int = 16
 
     def __post_init__(self):
         if self.n_samples < 1000:
             raise DomainError(f"n_samples={self.n_samples} below the minimum of 1000")
-        if self.n_streams < 2:
-            raise DomainError("batch-means standard errors need at least 2 streams")
 
 
 @dataclass(frozen=True)
@@ -322,58 +320,70 @@ def _f_of_factors(f, shape, factor, logdet, scale=1.0):
 # Monte Carlo aggregation
 
 
-def _aggregate(batch_means, scale, n_total, max_abs, sum_abs):
-    batch_means = np.asarray(batch_means, dtype=float)
-    value = float(batch_means.mean()) * scale
-    spread = float(batch_means.std(ddof=1))
-    se = spread / math.sqrt(len(batch_means)) * abs(scale)
-    est = Estimate(value=value, se=se, n=n_total)
-    if n_total >= 1000 and sum_abs > 0.0 and max_abs > 0.2 * sum_abs:
-        raise MomentDivergence(
-            "a single draw dominates the Monte Carlo sum; moment likely divergent",
-            partial=est,
-        )
-    return est
+def _passes(draw, rng, n):
+    """draw(rng, m) for n draws from one generator, in passes of
+    m <= BATCH_DRAWS draws: full passes first, the remainder last."""
+    for start in range(0, n, BATCH_DRAWS):
+        yield draw(rng, min(BATCH_DRAWS, n - start))
+
+
+def _pareto_k(tail):
+    """The generalized Pareto shape of the exceedances of the ascending
+    values tail over tail[0]: Zhang & Stephens' (2009) posterior mean with
+    the weak prior of Pareto smoothed importance sampling (Vehtari et al.
+    2024).  -inf where the lower quartile of the exceedances is 0, as for
+    constant values."""
+    x = tail[1:] - tail[0]
+    n = len(x)
+    quartile = x[int(n / 4 + 0.5) - 1]
+    if not quartile > 0.0:
+        return -math.inf
+    m = 30 + int(math.sqrt(n))
+    theta = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))) / (3.0 * quartile)
+    k = np.log1p(-theta[:, None] * x).mean(axis=1)
+    loglik = n * (np.log(-theta / k) - k - 1.0)
+    weights = np.exp(loglik - loglik.max())
+    theta_post = weights @ theta / weights.sum()
+    k_post = float(np.log1p(-theta_post * x).mean())
+    return (n * k_post + 10 * 0.5) / (n + 10)
 
 
 def _mc_expectation(vals_fn, mc, scale=1.0):
-    """Mean of vals_fn draws across mc.n_streams substreams, scaled.
+    """Mean of mc.n_samples values of vals_fn, scaled, with its standard
+    error from the values' own spread.
 
-    vals_fn(rng, m) -> array of m values, one per draw, each a function of
-    that draw's random numbers only; rng is a randmat.StreamBatch.  The
-    standard error comes from the stream means (batch means).  Consecutive
-    streams are drawn as one StreamBatch of at most BATCH_DRAWS draws, so
-    vals_fn runs once per batch; each stream's values are a contiguous
-    slice of the batch's, and its sum, max |v| and sum |v| are taken from
-    that slice in stream order, so the estimate is bit for bit that of
-    drawing every stream alone.  A stream of more than BATCH_DRAWS draws is
-    a batch of its own, drawn in chunks of at most MAX_CHUNK.
+    vals_fn(rng, m) -> array of m values, one per draw.  The draws come from
+    the one generator RngStream(mc.seed).generator(), in passes (_passes);
+    each pass adds its count, mean and centred sum of squares (Chan, Golub &
+    LeVeque 1979) and the running M + 1 largest |v|, M = floor(min(n/5,
+    3 sqrt(n))), so memory does not grow with n beyond those.  Those |v| are
+    the tail of Pareto smoothed importance sampling: a fitted shape k above
+    0.7 means the mean has too heavy a tail to trust, and MomentDivergence
+    is raised with the estimate as its partial.
     """
-    n_each = -(-mc.n_samples // mc.n_streams)
-    per_batch = max(1, BATCH_DRAWS // n_each)
-    batch_means = []
-    max_abs = 0.0
-    sum_abs = 0.0
-    for first in range(0, mc.n_streams, per_batch):
-        gens = [
-            RngStream(mc.seed, i).generator()
-            for i in range(first, min(first + per_batch, mc.n_streams))
-        ]
-        totals = [0.0] * len(gens)
-        for start in range(0, n_each, MAX_CHUNK):
-            m = min(MAX_CHUNK, n_each - start)
-            vals = np.asarray(vals_fn(StreamBatch(gens, m), m * len(gens)), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise MomentDivergence(
-                    "non-finite Monte Carlo values encountered", partial=None
-                )
-            for i, v in enumerate(vals.reshape(len(gens), m)):
-                totals[i] += float(v.sum())
-                v = np.abs(v)
-                max_abs = max(max_abs, float(v.max()))
-                sum_abs += float(v.sum())
-        batch_means.extend(t / n_each for t in totals)
-    return _aggregate(batch_means, scale, n_each * mc.n_streams, max_abs, sum_abs)
+    n_tail = int(min(mc.n_samples / 5, 3.0 * math.sqrt(mc.n_samples))) + 1
+    n, mean, m2 = 0, 0.0, 0.0
+    tail = np.empty(0)
+    for vals in _passes(vals_fn, RngStream(mc.seed).generator(), mc.n_samples):
+        vals = np.asarray(vals, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise MomentDivergence("non-finite Monte Carlo values encountered", partial=None)
+        m, pass_mean = len(vals), float(vals.mean())
+        delta, n = pass_mean - mean, n + m
+        mean += delta * m / n
+        m2 += float(np.square(vals - pass_mean).sum()) + delta * delta * (n - m) * m / n
+        tail = np.concatenate([tail, np.abs(vals)])
+        if len(tail) > n_tail:
+            tail = np.partition(tail, -n_tail)[-n_tail:]
+    est = Estimate(mean * scale, math.sqrt(m2 / (n - 1) / n) * abs(scale), n)
+    k = _pareto_k(np.sort(tail))
+    if k > 0.7:
+        raise MomentDivergence(
+            f"the largest draws have a Pareto tail of shape {k:.2f} > 0.7; "
+            "moment likely divergent",
+            partial=est,
+        )
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -35,35 +35,6 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
-class StreamBatch:
-    """Several generators drawn as one stack: a draw of n * len(generators)
-    values makes, on each generator in turn, the same call at size n that
-    drawing its n values alone would make, and concatenates the results
-    along the leading axis.  Each generator's values are therefore one
-    contiguous slice, bit for bit the values it gives alone.  Only the
-    methods the samplers here use are provided."""
-
-    def __init__(self, generators, n):
-        self.generators = list(generators)
-        self.n = n
-
-    def _draw(self, method, args, size):
-        shape = size if isinstance(size, tuple) else (size,)
-        if shape[0] != self.n * len(self.generators):
-            raise DomainError(
-                f"a batch of {len(self.generators)} streams of {self.n} draws "
-                f"cannot draw {shape[0]}"
-            )
-        one = (self.n,) + shape[1:] if isinstance(size, tuple) else self.n
-        return np.concatenate([getattr(g, method)(*args, size=one) for g in self.generators])
-
-    def chisquare(self, df, size):
-        return self._draw("chisquare", (df,), size)
-
-    def standard_normal(self, size):
-        return self._draw("standard_normal", (), size)
-
-
 @dataclass(frozen=True)
 class BetaMatParams:
     """Shape parameters of the type-1 matrix-variate beta on O < X < I."""
@@ -84,9 +55,9 @@ class BetaMatParams:
 def _resolve_rng(stream):
     if isinstance(stream, RngStream):
         return stream.generator()
-    if isinstance(stream, (np.random.Generator, StreamBatch)):
+    if isinstance(stream, np.random.Generator):
         return stream
-    raise DomainError(f"expected RngStream, StreamBatch or Generator, got {type(stream)!r}")
+    raise DomainError(f"expected RngStream or Generator, got {type(stream)!r}")
 
 
 def _bartlett_diagonal(p, df, rng, size):

@@ -18,9 +18,9 @@ import numpy as np
 from . import scalar_ops, smallmat
 from .errors import DomainError
 from .matrix_ops import (
-    BATCH_DRAWS,
     MatrixOpParams,
     MCConfig,
+    _passes,
     exp_neg_trace,
 )
 from .mtransform import (
@@ -93,7 +93,10 @@ def _mc_case(cid, ref, expected, got, se):
 
 
 def _mean_case(cid, ref, want, vals):
-    """The sample mean of vals against want."""
+    """The sample mean of vals against want; its standard error needs at
+    least 2 values."""
+    if len(vals) < 2:
+        raise DomainError(f"a moment's standard error needs at least 2 draws, got {len(vals)}")
     return _mc_case(cid, ref, want, vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
@@ -220,19 +223,15 @@ def _jacobian_checks(seed, p):
 
 def _logdets(seed, stream_id, n, draw):
     """log|X| of n draws from the generator of RngStream(seed, stream_id),
-    one array per stack that draw(rng, m) returns.  draw runs in passes of
-    m <= BATCH_DRAWS draws, full passes first and the remainder last, and
-    of each pass only the log-dets, read from the Cholesky factor, are kept;
-    a draw that is not positive definite raises NotPositiveDefinite."""
+    one array per stack that draw(rng, m) returns.  draw runs in the passes
+    of matrix_ops._passes, and of each pass only the log-dets, read from the
+    Cholesky factor, are kept; a draw that is not positive definite raises
+    NotPositiveDefinite."""
     if n < 1:
         raise DomainError(f"a moment suite needs at least one draw, got {n}")
-    rng = RngStream(seed, stream_id).generator()
     passes = [
-        [
-            smallmat.logdet(smallmat.cholesky(smallmat.entries(x)))
-            for x in draw(rng, min(BATCH_DRAWS, n - start))
-        ]
-        for start in range(0, n, BATCH_DRAWS)
+        [smallmat.logdet(smallmat.cholesky(smallmat.entries(x))) for x in stacks]
+        for stacks in _passes(draw, RngStream(seed, stream_id).generator(), n)
     ]
     return [np.concatenate(col) for col in zip(*passes)]
 
@@ -349,7 +348,7 @@ def _transform_cases(kind, seed, p, n_samples):
     if p in (None, 2):
         prm = MatrixOpParams(kind, 2, 1, ((1.8, 0.9),))
         f = exp_neg_trace(2, 1)
-        mc = MCConfig(n_samples=int(n_samples or 200000), seed=seed, n_streams=8)
+        mc = MCConfig(n_samples=int(n_samples or 200000), seed=seed)
         for rep in verify_transform(kind, prm, f, [1.2, 1.9], mc):
             cases.append(_report_case(f"{kind}-p2-k1-s{rep.s[0]}", ref, rep))
     return cases
@@ -368,10 +367,8 @@ def suite_density_identity(seed, p, n_samples):
     prm = MatrixOpParams("second", pp, 1, ((1.8, 0.9),))
     f = exp_neg_trace(pp, 1)
     for s in (1.2, 1.6):
-        a = mtransform_mc(prm, f, s, MCConfig(n_samples=n, seed=seed, n_streams=8))
-        b = mtransform_mc_operator(
-            prm, f, s, MCConfig(n_samples=n, seed=seed + 1, n_streams=8)
-        )
+        a = mtransform_mc(prm, f, s, MCConfig(n_samples=n, seed=seed))
+        b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=n, seed=seed + 1))
         cases.append(
             _mc_case(
                 f"density-vs-operator-p{pp}-s{s}",
@@ -382,7 +379,7 @@ def suite_density_identity(seed, p, n_samples):
 
     if pp == 1:
         want = gamma_ratio_second(prm, 1.6) * f.mellin((1.6,))
-        a = mtransform_mc(prm, f, 1.6, MCConfig(n_samples=n, seed=seed, n_streams=8))
+        a = mtransform_mc(prm, f, 1.6, MCConfig(n_samples=n, seed=seed))
         cases.append(
             _mc_case(
                 "density-vs-closed-p1-s1.6", "density-normalization-identity", want, a.value, a.se

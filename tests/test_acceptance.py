@@ -365,7 +365,7 @@ def test_criterion_07_matrix_estimators_p1_and_error_decay():
     ]:
         prm = MatrixOpParams(kind, 1, 1, ((1.5, 0.7),))
         for u in (0.7, 1.5):
-            est = mat_fn(prm, f1, [u * np.eye(1)], MCConfig(n_samples=100000, seed=21, n_streams=16))
+            est = mat_fn(prm, f1, [u * np.eye(1)], MCConfig(n_samples=100000, seed=21))
             want = quad_fn(exp_decay(1.0), u, zeta=1.5, alpha=0.7)
             worst_dev = max(worst_dev, abs(est.value - want) / est.se)
     assert worst_dev < 3.0
@@ -376,7 +376,7 @@ def test_criterion_07_matrix_estimators_p1_and_error_decay():
     for n in ns:
         ses = [
             kober_matrix_first(
-                prm, f1, [np.eye(1)], MCConfig(n_samples=n, seed=sd, n_streams=16)
+                prm, f1, [np.eye(1)], MCConfig(n_samples=n, seed=sd)
             ).se
             for sd in range(12)
         ]
@@ -412,7 +412,7 @@ def test_criterion_08_second_kind_transform():
     assert worst_ratio < 1e-6
 
     prm_mc = MatrixOpParams("second", 2, 1, ((1.8, 0.9),))
-    mc = MCConfig(n_samples=1000000, seed=3, n_streams=16)
+    mc = MCConfig(n_samples=1000000, seed=3)
     reps_mc = verify_transform("second", prm_mc, exp_neg_trace(2, 1), [1.2, 1.9], mc)
     worst_dev = max(abs(r.lhs - r.rhs) / r.se for r in reps_mc)
     worst_rel = max(abs(r.ratio - 1.0) for r in reps_mc)
@@ -454,7 +454,7 @@ def test_criterion_09_first_kind_transform():
     assert worst_ratio < 1e-6
 
     prm_mc = MatrixOpParams("first", 2, 1, ((1.8, 0.9),))
-    mc = MCConfig(n_samples=1000000, seed=3, n_streams=16)
+    mc = MCConfig(n_samples=1000000, seed=3)
     reps_mc = verify_transform("first", prm_mc, exp_neg_trace(2, 1), [1.2, 1.9], mc)
     worst_dev = max(abs(r.lhs - r.rhs) / r.se for r in reps_mc)
     worst_rel = max(abs(r.ratio - 1.0) for r in reps_mc)
@@ -482,8 +482,8 @@ def test_criterion_10_density_identity():
     f = exp_neg_trace(2, 1)
     worst_dev = 0.0
     for s in (1.2, 1.6):
-        a = mtransform_mc(prm, f, s, MCConfig(n_samples=400000, seed=9, n_streams=16))
-        b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=400000, seed=10, n_streams=16))
+        a = mtransform_mc(prm, f, s, MCConfig(n_samples=400000, seed=9))
+        b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=400000, seed=10))
         dev = abs(a.value - b.value) / math.hypot(a.se, b.se)
         worst_dev = max(worst_dev, dev)
     assert worst_dev < 3.0

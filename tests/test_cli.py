@@ -173,6 +173,15 @@ def test_verify_seed_changes_monte_carlo_output(capsys):
     assert out1 != out2
 
 
+@pytest.mark.parametrize("suite", ["beta-moments", "dirichlet-chain"])
+def test_verify_moment_suite_with_one_draw_exit_2(capsys, suite):
+    # one draw has no standard error: a refused input, not a failed case
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-samples", "1")
+    assert code == 2
+    assert out == ""
+    assert "at least 2 draws" in err
+
+
 def test_verify_failed_case_exit_1(capsys, monkeypatch):
     def broken(seed, p=None, n_samples=None):
         case = CaseResult("always-wrong", "none", 1.0, 2.0, None, 1e-9, False)

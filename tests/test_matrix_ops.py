@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from kober import matrix_ops, mtransform, smallmat
 from kober.errors import DomainError, KoberError, MomentDivergence, ProposalDomainError
 from kober.matgamma import ln_gamma_p
 from kober.matrix_ops import (
+    BATCH_DRAWS,
     ChainSpec,
     MatrixOpParams,
     MCConfig,
     _density_mode_logdets,
     _f_of_factors,
+    _pareto_k,
     density_constant,
     density_mode_sample,
     det_power,
@@ -28,7 +31,6 @@ from kober.matrix_ops import (
 from kober.randmat import (
     BetaMatParams,
     RngStream,
-    StreamBatch,
     matrix_beta_det_moment,
     matrix_beta_factor,
     wishart_det_moment,
@@ -373,16 +375,6 @@ def test_density_mode_logdets_follow_the_sampled_law(kind, p, f, chain):
         assert stats.ks_2samp(a, logdet).pvalue > 0.01
 
 
-def test_density_mode_logdets_batch_slices_are_each_streams_own_draws():
-    params = MatrixOpParams("first", 3, 2, ((1.9, 1.3), (1.6, 1.2)))
-    f = det_power_times_exp(3, (2.2, 1.7))
-    batch = StreamBatch([RngStream(62, i).generator() for i in range(3)], 5)
-    got = _density_mode_logdets(params, f, batch, 15)
-    alone = [_density_mode_logdets(params, f, RngStream(62, i), 5) for i in range(3)]
-    for j, slot in enumerate(got):
-        assert np.array_equal(slot, np.concatenate([a[j] for a in alone]))
-
-
 # a callback reads the dense V, and det(V) ** lam is inf or NaN where V is
 # singular or has lost definiteness
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -473,38 +465,6 @@ def test_factor_summaries_match_dense_value(p, k):
             )
 
 
-# ---------------------------------------------------------------------------
-# batched streams against drawing each stream alone
-
-
-def _per_stream_expectation(vals_fn, mc, scale=1.0):
-    """The estimate drawn stream by stream: each RngStream's own generator
-    goes to vals_fn, chunk by chunk, as if no stream were batched."""
-    n_each = -(-mc.n_samples // mc.n_streams)
-    means, max_abs, sum_abs = [], 0.0, 0.0
-    for i in range(mc.n_streams):
-        rng = RngStream(mc.seed, i).generator()
-        total = 0.0
-        for start in range(0, n_each, matrix_ops.MAX_CHUNK):
-            vals = np.asarray(vals_fn(rng, min(matrix_ops.MAX_CHUNK, n_each - start)))
-            assert np.all(np.isfinite(vals))
-            total += float(vals.sum())
-            max_abs = max(max_abs, float(np.abs(vals).max()))
-            sum_abs += float(np.abs(vals).sum())
-        means.append(total / n_each)
-    return matrix_ops._aggregate(means, scale, n_each * mc.n_streams, max_abs, sum_abs)
-
-
-def assert_same_as_per_stream(monkeypatch, run):
-    batched = run()
-    with monkeypatch.context() as mp:
-        for mod in (matrix_ops, mtransform):
-            mp.setattr(mod, "_mc_expectation", _per_stream_expectation)
-        alone = run()
-    assert batched == alone  # value, se and n, bit for bit
-    return batched
-
-
 def _operator_case(kind, p, k, rng, law="det_power"):
     """Operator inputs at (kind, p, k); law det_power (each estimate reads
     log|V_j| only) or det_power_times_exp (the beta factor route)."""
@@ -526,28 +486,99 @@ def _operator_case(kind, p, k, rng, law="det_power"):
     return MatrixOpParams(kind, p, k, pairs), f, tuple(us)
 
 
-@pytest.mark.parametrize("kind", ["first", "second"])
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_batched_operator_matches_per_stream(monkeypatch, kind, p, k):
-    # 10 000 draws over 16 streams: 625 per stream, batches of 6, 6 and 4
-    params, f, us = _operator_case(kind, p, k, np.random.default_rng([p, k, kind == "first"]))
-    op = kober_matrix_first if kind == "first" else kober_matrix_second
-    mc = MCConfig(n_samples=10000, seed=60 + 3 * p + k)
-    assert_same_as_per_stream(monkeypatch, lambda: op(params, f, us, mc))
+# ---------------------------------------------------------------------------
+# one generator per estimate: the plain mean and standard error of its draws
 
 
-@pytest.mark.parametrize("kind", ["first", "second"])
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_batched_trace_law_operator_matches_per_stream(monkeypatch, kind, p, k):
-    # the grid above on det_power_times_exp, which takes the beta factor route
-    params, f, us = _operator_case(
-        kind, p, k, np.random.default_rng([p, k, kind == "first"]), "det_power_times_exp"
+def _by_hand(vals_fn, mc, scale=1.0):
+    """The values an estimate averages, and its scale: vals_fn on the one
+    generator RngStream(mc.seed).generator(), BATCH_DRAWS draws at a time
+    and the remainder last."""
+    rng = RngStream(mc.seed).generator()
+    sizes = [BATCH_DRAWS] * (mc.n_samples // BATCH_DRAWS) + [mc.n_samples % BATCH_DRAWS]
+    return np.concatenate([vals_fn(rng, m) for m in sizes if m]), scale
+
+
+def _reference_cases():
+    first, f1, us1 = _operator_case("first", 2, 1, np.random.default_rng(90))
+    second, f2, us2 = _operator_case(
+        "second", 3, 2, np.random.default_rng(91), "det_power_times_exp"
     )
-    op = kober_matrix_first if kind == "first" else kober_matrix_second
-    mc = MCConfig(n_samples=10000, seed=60 + 3 * p + k)
-    assert_same_as_per_stream(monkeypatch, lambda: op(params, f, us, mc))
+    # slot 1 has zeta below (p-1)/2 and takes the reweighted proposal; its
+    # |W|^(-3/2) weight needs the whole exp(-tr V_1) to keep a finite variance
+    reweighted = MatrixOpParams("second", 2, 2, ((0.2, 1.3), (1.4, 0.9)))
+    callback = matrix_callback(
+        2, lambda v1, v2: np.exp(-v1[..., 0, 0] - v1[..., 1, 1] - v2[..., 1, 1]), k=2
+    )
+    transform = MatrixOpParams("second", 2, 1, ((3.5, 1.2),))
+    return {
+        "first": lambda mc: kober_matrix_first(first, f1, us1, mc),
+        "second": lambda mc: kober_matrix_second(second, f2, us2, mc),
+        "reweighted": lambda mc: kober_matrix_second(
+            reweighted, exp_neg_trace(2, 2), (U22, np.eye(2)), mc
+        ),
+        "callback": lambda mc: kober_matrix_second(reweighted, callback, (U22, np.eye(2)), mc),
+        "density-route": lambda mc: mtransform.mtransform_mc(
+            transform, exp_neg_trace(2, 1), 1.6, mc
+        ),
+        "operator-route": lambda mc: mtransform.mtransform_mc_operator(
+            transform, exp_neg_trace(2, 1), 1.6, mc
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [1000, BATCH_DRAWS, BATCH_DRAWS + 1, 2 * BATCH_DRAWS + 3])
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_estimate_is_the_plain_mean_and_se_of_its_draws(monkeypatch, case, n):
+    run = _reference_cases()[case]
+    mc = MCConfig(n_samples=n, seed=70 + n % 7)
+    est = run(mc)
+    with monkeypatch.context() as mp:
+        for mod in (matrix_ops, mtransform):
+            mp.setattr(mod, "_mc_expectation", _by_hand)
+        vals, scale = run(mc)
+    assert est.n == len(vals) == n
+    assert est.value == pytest.approx(vals.mean() * scale, rel=1e-13)
+    assert est.se == pytest.approx(vals.std(ddof=1) / math.sqrt(n) * abs(scale), rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_infinite_variance_reweighting_is_flagged(seed):
+    # zeta = 0.2 <= (p-1)/2 takes |W|^(-3/2) weights, whose second moment
+    # diverges for det_power(-0.4): at these seeds the mean of 10^5 draws
+    # reads 10.6-16.0 against 19.11, at 3 of them over 7 standard errors low
+    params = MatrixOpParams("second", 2, 1, ((0.2, 0.9),))
+    mc = MCConfig(n_samples=100000, seed=seed)
+    with pytest.raises(MomentDivergence) as info:
+        kober_matrix_second(params, det_power(2, -0.4), [0.8 * np.eye(2)], mc)
+    assert info.value.partial.n == 100000
+
+
+def test_constant_values_give_no_warning_and_no_error():
+    # det_power(0) is 1 at every draw; the density route at s = 1 - 2^-52
+    # gives values equal to the last few ulps
+    params = MatrixOpParams("first", 1, 1, ((0.05, 0.6),))
+    mc = MCConfig(n_samples=1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = kober_matrix_first(params, det_power(1, 0.0), [np.eye(1)], mc)
+        assert est.se == 0.0
+        assert est.value == pytest.approx(math.gamma(1.05) / math.gamma(1.65), rel=1e-14)
+        est = mtransform.mtransform_mc(params, det_power_times_exp(1, 3.0), 1.0 - 2.0**-52, mc)
+        assert est.se < 1e-13 * est.value
+
+
+@pytest.mark.parametrize("k", [1.5, 0.67, 0.33])
+def test_pareto_k_recovers_the_shape_of_pareto_draws(k):
+    # numpy's pareto(a) is the Lomax law, a generalized Pareto of shape
+    # 1/a, and so is its part above any threshold: here its largest fifth
+    x = np.sort(np.random.default_rng(17).pareto(1.0 / k, 100000))
+    assert abs(_pareto_k(x[-20001:]) - k) < 0.1
+
+
+def test_pareto_k_of_uniform_draws_is_negative():
+    x = np.sort(np.random.default_rng(18).uniform(size=100000))
+    assert _pareto_k(x[-20001:]) < 0.0
 
 
 class _FactorCalled(Exception):
@@ -580,59 +611,8 @@ def test_only_laws_beyond_log_det_build_beta_factors(monkeypatch):
                 op(params, f, us, mc)
 
 
-def test_batched_reweighted_slot_and_callback_match_per_stream(monkeypatch):
-    # slot 1 has zeta below (p-1)/2 and takes the reweighted proposal
-    params = MatrixOpParams("second", 2, 2, ((0.2, 1.3), (1.4, 0.9)))
-    us = (U22, np.eye(2))
-    mc = MCConfig(n_samples=8000, seed=71)
-    assert_same_as_per_stream(
-        monkeypatch, lambda: kober_matrix_second(params, exp_neg_trace(2, 2), us, mc)
-    )
-    f = matrix_callback(2, lambda v1, v2: np.exp(-v1[..., 0, 0] - v2[..., 1, 1]), k=2)
-    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_second(params, f, us, mc))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_batched_transform_routes_match_per_stream(monkeypatch, p):
-    params = MatrixOpParams("second", p, 1, ((p / 2.0 + 2.5, p / 2.0 + 0.2),))
-    f = exp_neg_trace(p, 1)
-    mc = MCConfig(n_samples=6000, seed=80 + p)
-    for route in (mtransform.mtransform_mc, mtransform.mtransform_mc_operator):
-        assert_same_as_per_stream(monkeypatch, lambda: route(params, f, p / 2.0 + 0.6, mc))
-
-
-def test_partial_last_batch_and_uneven_split_match_per_stream(monkeypatch):
-    params, f, us = _operator_case("first", 2, 2, np.random.default_rng(90))
-    # 1000 draws per stream: one batch of 4 streams, then a batch of 1
-    mc = MCConfig(n_samples=5000, n_streams=5, seed=91)
-    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_first(params, f, us, mc))
-    # 10 001 draws over 16 streams: rounded up to 626 each
-    mc = MCConfig(n_samples=10001, seed=92)
-    est = assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_first(params, f, us, mc))
-    assert est.n == 16 * 626
-
-
-def test_oversized_stream_is_drawn_in_chunks(monkeypatch):
-    # 10 000 draws per stream exceed BATCH_DRAWS: each stream is a batch of
-    # its own, drawn in chunks of 3000, 3000, 3000 and 1000
-    monkeypatch.setattr(matrix_ops, "MAX_CHUNK", 3000)
-    calls = []
-    real = matrix_ops.StreamBatch
-
-    def spy(gens, n):
-        calls.append((len(gens), n))
-        return real(gens, n)
-
-    monkeypatch.setattr(matrix_ops, "StreamBatch", spy)
-    params, f, us = _operator_case("second", 2, 1, np.random.default_rng(93))
-    mc = MCConfig(n_samples=20000, n_streams=2, seed=94)
-    assert_same_as_per_stream(monkeypatch, lambda: kober_matrix_second(params, f, us, mc))
-    assert calls == [(1, 3000), (1, 3000), (1, 3000), (1, 1000)] * 2
-
-
 def test_non_finite_value_in_a_later_stream_of_a_batch_raises():
-    # 4 streams of 1000 draws are one batch; only the batch's last value,
-    # which belongs to its last stream, is infinite
+    # 4000 draws are one pass; only the pass's last value is infinite
     def fn(v):
         out = np.exp(-v[..., 0, 0])
         out[-1] = np.inf
@@ -641,5 +621,5 @@ def test_non_finite_value_in_a_later_stream_of_a_batch_raises():
     params = MatrixOpParams("first", 1, 1, ((1.0, 1.5),))
     with pytest.raises(MomentDivergence):
         kober_matrix_first(
-            params, matrix_callback(1, fn), (np.eye(1),), MCConfig(n_samples=4000, n_streams=4)
+            params, matrix_callback(1, fn), (np.eye(1),), MCConfig(n_samples=4000)
         )

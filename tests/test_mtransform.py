@@ -184,7 +184,7 @@ def test_routes_refuse_the_same_transform_points(kind, p, u, s):
         zeta = -0.95 + 4.0 * u
     prm = MatrixOpParams(kind, p, 1, ((zeta, bound + 0.6),))
     f = det_power_times_exp(p, p + 2.0)
-    mc = MCConfig(n_samples=1000, seed=1, n_streams=2)
+    mc = MCConfig(n_samples=1000, seed=1)
     ratio = gamma_ratio_first if kind == "first" else gamma_ratio_second
 
     def verify():
@@ -498,7 +498,7 @@ def test_verify_reports_wrong_length_point():
 def test_verify_mc_path_p2():
     prm = MatrixOpParams("second", 2, 1, ((1.8, 0.9),))
     f = exp_neg_trace(2, 1)
-    mc = MCConfig(n_samples=60000, seed=11, n_streams=6)
+    mc = MCConfig(n_samples=60000, seed=11)
     reports = verify_transform("second", prm, f, [1.2, 1.9], mc)
     assert [r.status for r in reports] == ["pass", "pass"]
     assert all(r.se is not None and r.se > 0 for r in reports)
@@ -513,7 +513,7 @@ def test_density_route_matches_closed_form_p2():
     f = exp_neg_trace(2, 1)
     s = 1.2
     want = gamma_ratio_first(prm, s) * f.mellin((s,))
-    est = mtransform_mc(prm, f, s, MCConfig(n_samples=100000, seed=5, n_streams=8))
+    est = mtransform_mc(prm, f, s, MCConfig(n_samples=100000, seed=5))
     assert abs(est.value - want) < 3.0 * est.se
 
 
@@ -523,9 +523,9 @@ def test_operator_route_agrees_with_density_route():
     prm = MatrixOpParams("second", 2, 1, ((1.8, 0.9),))
     f = exp_neg_trace(2, 1)
     s = 1.6
-    mc = MCConfig(n_samples=100000, seed=29, n_streams=8)
+    mc = MCConfig(n_samples=100000, seed=29)
     a = mtransform_mc(prm, f, s, mc)
-    b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=100000, seed=31, n_streams=8))
+    b = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=100000, seed=31))
     assert abs(a.value - b.value) < 3.0 * math.hypot(a.se, b.se)
 
 
@@ -536,7 +536,7 @@ def test_operator_route_two_slots_against_closed_form():
     f = exp_neg_trace(2, 2)
     s = (1.6, 1.9)
     want = gamma_ratio_second(prm, s) * f.mellin(s)
-    est = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=200000, seed=1, n_streams=16))
+    est = mtransform_mc_operator(prm, f, s, MCConfig(n_samples=200000, seed=1))
     assert abs(est.value - want) < 4.0 * est.se
     np.testing.assert_allclose(est.value, want, rtol=0.02)
 
@@ -614,7 +614,7 @@ def test_density_route_with_chain_shapes():
     for zeta, sj, b in zip((1.5, 2.0), s, shapes):
         want *= math.gamma(zeta + sj) / math.gamma(zeta + sj + b)
     est = mtransform_mc(
-        prm, f, s, MCConfig(n_samples=400000, seed=3, n_streams=16), chain=chain
+        prm, f, s, MCConfig(n_samples=400000, seed=3), chain=chain
     )
     assert abs(est.value - want) < 4.0 * est.se
     np.testing.assert_allclose(est.value, want, rtol=0.02)

@@ -8,7 +8,6 @@ from kober.errors import ChainDomainError, DomainError
 from kober.randmat import (
     BetaMatParams,
     RngStream,
-    StreamBatch,
     matrix_beta_det_moment,
     matrix_beta_factor,
     matrix_beta_logdet,
@@ -26,15 +25,6 @@ def mean_within(values, expect, k=3.0):
     values = np.asarray(values, dtype=float)
     se = values.std(ddof=1) / np.sqrt(len(values))
     assert abs(values.mean() - expect) < k * se, (values.mean(), expect, se)
-
-
-def test_stream_batch_concatenates_each_streams_own_draws():
-    batch = StreamBatch([RngStream(42, i).generator() for i in range(3)], 5)
-    got = sample_wishart(2, 5.0, batch, size=15)
-    alone = [sample_wishart(2, 5.0, RngStream(42, i), size=5) for i in range(3)]
-    assert np.array_equal(got, np.concatenate(alone))
-    with pytest.raises(DomainError):
-        sample_wishart(2, 5.0, batch, size=10)
 
 
 def test_streams_reproduce_bit_for_bit():
@@ -150,14 +140,6 @@ def test_matrix_beta_logdet_moments_near_the_bound(p, gap):
     mean_within(logdet, expect, k=4.0)
 
 
-def test_matrix_beta_logdet_batch_slices_are_each_streams_own_draws():
-    prm = BetaMatParams(3, 1.8, 1.4)
-    batch = StreamBatch([RngStream(43, i).generator() for i in range(3)], 5)
-    got = matrix_beta_logdet(prm, batch, size=15)
-    alone = [matrix_beta_logdet(prm, RngStream(43, i), size=5) for i in range(3)]
-    assert np.array_equal(got, np.concatenate(alone))
-
-
 @pytest.mark.parametrize("p,df", [(1, 0.7), (2, 1.4), (3, 6.0)])
 def test_wishart_logdet_is_the_bartlett_factors_logdet(p, df):
     # the same chi-squares on the same stream: the log-determinant of the
@@ -167,13 +149,6 @@ def test_wishart_logdet_is_the_bartlett_factors_logdet(p, df):
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
     with pytest.raises(DomainError):
         wishart_logdet(p, p - 1.0, RngStream(44, p), size=10)
-
-
-def test_wishart_logdet_batch_slices_are_each_streams_own_draws():
-    batch = StreamBatch([RngStream(45, i).generator() for i in range(3)], 5)
-    got = wishart_logdet(3, 4.5, batch, size=15)
-    alone = [wishart_logdet(3, 4.5, RngStream(45, i), size=5) for i in range(3)]
-    assert np.array_equal(got, np.concatenate(alone))
 
 
 def test_matrix_beta_det_moment_scalar_reduction():
